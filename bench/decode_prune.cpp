@@ -1,21 +1,22 @@
-// Accuracy/speed sweep for the pruned + quantized decode kernels (ISSUE 6).
+// Accuracy/speed sweep for the quantized decode kernels (DESIGN.md §10).
 //
 // Trains an order-2 CRF on the synthetic BC2GM corpus, pre-encodes the test
-// split, then sweeps DecodeOptions — beam in {inf, 16, 8, 4}, posterior
-// threshold in {0, 1e-3}, emission weights in {float, int16} — measuring
+// split, then sweeps the emission storage — float, int16, int8 — measuring
 // each configuration against the exact kernels with the repo's interleaved
 // convention (alternating runs, median of each, so clock drift and cache
 // warmth hit both sides equally). For every configuration it reports:
 //
 //   viterbi / fb   — median wall time of one full test-set decode pass and
 //                    the speedup over the exact pass interleaved with it
+//   exact spread   — interquartile range of the exact Viterbi passes over
+//                    their median: a speedup inside it is noise
 //   diff rate      — fraction of tokens whose Viterbi tag disagrees with
-//                    the exact decode (the accuracy cost of pruning)
-//   active         — mean fraction of lattice states left after pruning
-//   fallbacks      — sentences that bailed out to the exact kernel
+//                    the exact decode (the accuracy cost of quantization)
 //
-// Writes BENCH_decode.json. With --max-diff-rate/--min-speedup set, exits
-// non-zero unless some pruned configuration clears both bars — the CI gate.
+// The float row times the exact kernels against themselves, a noise-floor
+// control. Writes BENCH_decode.json. With --max-diff-rate set, exits
+// non-zero unless some quantized configuration clears both the accuracy
+// and the --min-speedup bar — the CI gate.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -43,9 +44,8 @@ struct SweepResult {
   double viterbi_exact_ms = 0.0;
   double fb_ms = 0.0;
   double fb_exact_ms = 0.0;
+  double viterbi_exact_spread = 0.0;
   double diff_rate = 0.0;
-  double active_fraction = 1.0;
-  std::size_t fallbacks = 0;
 
   [[nodiscard]] double viterbi_speedup() const noexcept {
     return viterbi_ms > 0.0 ? viterbi_exact_ms / viterbi_ms : 0.0;
@@ -55,15 +55,21 @@ struct SweepResult {
   }
 };
 
-[[nodiscard]] double median(std::vector<double> samples) {
+[[nodiscard]] double quantile(std::vector<double> samples, double q) {
   std::sort(samples.begin(), samples.end());
-  return samples.empty() ? 0.0 : samples[samples.size() / 2];
+  return samples.empty()
+             ? 0.0
+             : samples[static_cast<std::size_t>(q * (samples.size() - 1) + 0.5)];
+}
+
+[[nodiscard]] double median(std::vector<double> samples) {
+  return quantile(std::move(samples), 0.5);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli("decode_prune", "pruned/quantized decode accuracy-speed sweep");
+  util::Cli cli("decode_prune", "quantized decode accuracy-speed sweep");
   auto scale = cli.flag<double>("scale", 0.25, "synthetic corpus scale");
   auto seed = cli.flag<std::uint64_t>("seed", 42, "corpus seed");
   auto order = cli.flag<int>("crf-order", 2, "CRF order (1 or 2)");
@@ -71,13 +77,13 @@ int main(int argc, char** argv) {
   auto json_out = cli.flag<std::string>("json", "BENCH_decode.json", "output file");
   auto max_diff_rate = cli.flag<double>(
       "max-diff-rate", 0.0,
-      "CI gate: some pruned config must disagree with exact on at most this "
+      "CI gate: some quantized config must disagree with exact on at most this "
       "fraction of tokens (0 = no gate)");
   // The roadmap's 2x target presumed memory-bound emission scoring (a
   // feature table far outgrowing cache, every row a stall). Measured on the
   // reference box (single-core Xeon, 2 MB L2 / 260 MB L3), a realistic
   // Zipf-headed table stays warm enough that the ceiling at <= 0.1% tag
-  // disagreement is ~1.1-1.25x (int8 emission, vacuous-beam path); see
+  // disagreement is ~1.1-1.25x (int8 emission); see
   // DESIGN.md §10. The default bar asserts that honestly-reachable win.
   auto min_speedup = cli.flag<double>(
       "min-speedup", 1.05, "CI gate: ... while decoding at least this much faster");
@@ -131,30 +137,14 @@ int main(int argc, char** argv) {
   model.prepare_quantization(crf::Quantization::kInt16);
   model.prepare_quantization(crf::Quantization::kInt8);
 
-  const auto sweep_options = [](std::size_t beam, double threshold,
-                                crf::Quantization quant) {
+  std::vector<SweepConfig> configs;
+  for (const auto quant : {crf::Quantization::kFloat, crf::Quantization::kInt16,
+                           crf::Quantization::kInt8}) {
     crf::DecodeOptions options;
-    options.beam = beam;
-    options.posterior_threshold = threshold;
     options.quantization = quant;
-    return options;
-  };
-  const std::vector<SweepConfig> configs = {
-      {"beam16", sweep_options(16, 0.0, crf::Quantization::kFloat)},
-      {"beam8", sweep_options(8, 0.0, crf::Quantization::kFloat)},
-      {"beam4", sweep_options(4, 0.0, crf::Quantization::kFloat)},
-      {"beam8+t1e-3", sweep_options(8, 1e-3, crf::Quantization::kFloat)},
-      {"beam4+t1e-3", sweep_options(4, 1e-3, crf::Quantization::kFloat)},
-      {"int16", sweep_options(0, 0.0, crf::Quantization::kInt16)},
-      {"beam4+t1e-3+int16", sweep_options(4, 1e-3, crf::Quantization::kInt16)},
-      {"int8", sweep_options(0, 0.0, crf::Quantization::kInt8)},
-      {"beam16+int8", sweep_options(16, 0.0, crf::Quantization::kInt8)},
-      {"beam8+int8", sweep_options(8, 0.0, crf::Quantization::kInt8)},
-      {"beam8+t1e-4+int8", sweep_options(8, 1e-4, crf::Quantization::kInt8)},
-      {"beam4+t1e-3+int8", sweep_options(4, 1e-3, crf::Quantization::kInt8)},
-      {"beam2+int8", sweep_options(2, 0.0, crf::Quantization::kInt8)},
-  };
-  const crf::DecodeOptions exact{};  // beam=inf, threshold=0, float
+    configs.push_back({crf::quantization_name(quant), options});
+  }
+  const crf::DecodeOptions exact{};
 
   // Exact reference tags, computed once: the accuracy yardstick.
   crf::LinearChainCrf::Scratch scratch;
@@ -177,22 +167,15 @@ int main(int argc, char** argv) {
     SweepResult result;
     result.config = config;
 
-    // Accuracy + prune statistics (untimed pass).
+    // Accuracy (untimed pass).
     std::size_t diffs = 0;
-    double active_sum = 0.0;
     for (std::size_t i = 0; i < test_batch.size(); ++i) {
       const auto tags = model.viterbi(test_batch[i], scratch, config.options);
       for (std::size_t t = 0; t < tags.size(); ++t)
         diffs += tags[t] != reference[i][t];
-      if (scratch.prune.fallback)
-        ++result.fallbacks;
-      else
-        active_sum += scratch.prune.active_fraction();
     }
     result.diff_rate =
         total_tokens > 0 ? static_cast<double>(diffs) / total_tokens : 0.0;
-    const std::size_t pruned_ok = test_batch.size() - result.fallbacks;
-    result.active_fraction = pruned_ok > 0 ? active_sum / pruned_ok : 1.0;
 
     // Interleaved timings, exact alternating with the config under test.
     std::vector<double> exact_v, cfg_v, exact_fb, cfg_fb;
@@ -219,34 +202,39 @@ int main(int argc, char** argv) {
       }
     }
     result.viterbi_exact_ms = median(exact_v);
+    result.viterbi_exact_spread =
+        result.viterbi_exact_ms > 0.0
+            ? (quantile(exact_v, 0.75) - quantile(exact_v, 0.25)) /
+                  result.viterbi_exact_ms
+            : 0.0;
     result.viterbi_ms = median(cfg_v);
     result.fb_exact_ms = median(exact_fb);
     result.fb_ms = median(cfg_fb);
     results.push_back(result);
   }
 
-  util::TablePrinter table({"config", "viterbi ms", "speedup", "fb ms",
-                            "fb speedup", "diff %", "active %", "fallbacks"});
+  util::TablePrinter table({"config", "viterbi ms", "speedup", "exact spread %",
+                            "fb ms", "fb speedup", "diff %"});
   for (const auto& r : results)
     table.add_row({r.config.name, util::TablePrinter::fmt(r.viterbi_ms),
                    util::TablePrinter::fmt(r.viterbi_speedup()) + "x",
+                   util::TablePrinter::fmt(100 * r.viterbi_exact_spread),
                    util::TablePrinter::fmt(r.fb_ms),
                    util::TablePrinter::fmt(r.fb_speedup()) + "x",
-                   util::TablePrinter::fmt(100 * r.diff_rate),
-                   util::TablePrinter::fmt(100 * r.active_fraction),
-                   std::to_string(r.fallbacks)});
+                   util::TablePrinter::fmt(100 * r.diff_rate)});
   table.print(std::cout, "decode_prune (order " + std::to_string(*order) +
                              ", interleaved medians, " + std::to_string(*reps) +
                              " reps, " + std::to_string(test_batch.size()) +
                              " sentences)");
 
-  // CI gate: some pruned configuration must be both fast and faithful.
+  // CI gate: some quantized configuration must be both fast and faithful
+  // (the float row is the exact kernel timed against itself).
   bool gate_pass = true;
   double best_gated_speedup = 0.0;
   if (*max_diff_rate > 0.0) {
     bool any_qualified = false;
     for (const auto& r : results)
-      if (r.diff_rate <= *max_diff_rate) {
+      if (!r.config.options.exact() && r.diff_rate <= *max_diff_rate) {
         any_qualified = true;
         best_gated_speedup = std::max(best_gated_speedup, r.viterbi_speedup());
       }
@@ -264,19 +252,15 @@ int main(int argc, char** argv) {
        << ",\n  \"test_tokens\": " << total_tokens << ",\n  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    json << "    {\"config\": \"" << r.config.name
-         << "\", \"beam\": " << r.config.options.beam
-         << ", \"threshold\": " << r.config.options.posterior_threshold
-         << ", \"quantized\": \""
+    json << "    {\"config\": \"" << r.config.name << "\", \"quantized\": \""
          << crf::quantization_name(r.config.options.quantization)
          << "\", \"viterbi_ms\": " << r.viterbi_ms
          << ", \"viterbi_exact_ms\": " << r.viterbi_exact_ms
+         << ", \"viterbi_exact_spread\": " << r.viterbi_exact_spread
          << ", \"viterbi_speedup\": " << r.viterbi_speedup()
          << ", \"fb_ms\": " << r.fb_ms << ", \"fb_exact_ms\": " << r.fb_exact_ms
          << ", \"fb_speedup\": " << r.fb_speedup()
-         << ", \"diff_rate\": " << r.diff_rate
-         << ", \"active_fraction\": " << r.active_fraction
-         << ", \"fallbacks\": " << r.fallbacks << "}"
+         << ", \"diff_rate\": " << r.diff_rate << "}"
          << (i + 1 < results.size() ? "," : "") << '\n';
   }
   json << "  ],\n  \"quant_drift\": " << model.quantization_drift()

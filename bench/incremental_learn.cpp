@@ -101,7 +101,7 @@ double tag_agreement(const core::GraphNerModel& a, const core::GraphNerModel& b,
 
 int main(int argc, char** argv) {
   util::Cli cli("incremental_learn",
-                "incremental #LEARN vs full rebuild at 1/5/20% corpus growth");
+                "incremental #REPLICA learn vs full rebuild at 1/5/20% corpus growth");
   auto scale = cli.flag<double>("scale", 0.1, "corpus scale for the toy model");
   auto seed = cli.flag<std::uint64_t>("seed", 42, "corpus seed");
   auto tolerance =

@@ -8,9 +8,9 @@
 //   graphner_client --port 8765 --admin "kill 1"
 //       send a "#REPLICA <cmd>" admin line (graphner_router only) and
 //       print the reply up to its #END terminator
-//   graphner_client --port 8765 --admin "#LEARN file new-sents.txt"
-//       an --admin value starting with '#' goes out verbatim — the online
-//       learning verb of a --learn router absorbs the file's sentences
+//   graphner_client --port 8765 --admin "learn file new-sents.txt"
+//       the online-learning verb of a --learn router absorbs the file's
+//       sentences
 //
 // With --concurrency N the lines are striped over N connections, each of
 // which pipelines a window of requests — that is what drives the server's
@@ -24,7 +24,6 @@
 // answered exactly once.
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -68,15 +67,9 @@ int main(int argc, char** argv) {
   auto admin = cli.flag<std::string>(
       "admin", "",
       "send '#REPLICA <cmd>' (kill/revive/swap/status/learn) and print the "
-      "reply; a value starting with '#' (e.g. '#LEARN text ...') is sent "
-      "verbatim");
+      "reply");
   auto metrics_format = cli.flag<std::string>(
-      "metrics-format", "",
-      "with --metrics: json | tsv | prom (empty = legacy service JSON)");
-  auto beam = cli.flag<std::size_t>(
-      "beam", 0, "ask the server to decode with this beam (0 = its default)");
-  auto posterior_threshold = cli.flag<double>(
-      "posterior-threshold", 0.0, "server-side posterior pruning threshold");
+      "metrics-format", "json", "with --metrics: json | tsv | prom");
   auto quantized = cli.flag<std::string>(
       "quantized", "", "server-side emission quantization: off | int16 | int8");
   cli.parse(argc, argv);
@@ -84,17 +77,8 @@ int main(int argc, char** argv) {
   // Connection-scoped decode override, sent as a "#DECODE" control line
   // right after every (re)connect. It draws no reply, so the pipelined
   // request/response accounting below is untouched.
-  std::string decode_line;
-  if (*beam > 0 || *posterior_threshold > 0.0 || !quantized->empty()) {
-    decode_line = "#DECODE";
-    if (*beam > 0) decode_line += " beam=" + std::to_string(*beam);
-    if (*posterior_threshold > 0.0) {
-      std::ostringstream threshold;
-      threshold << *posterior_threshold;
-      decode_line += " threshold=" + threshold.str();
-    }
-    if (!quantized->empty()) decode_line += " quantized=" + *quantized;
-  }
+  const std::string decode_line =
+      quantized->empty() ? std::string{} : "#DECODE quantized=" + *quantized;
 
   util::BackoffPolicy connect_policy;
   connect_policy.initial = std::chrono::milliseconds(100);
@@ -106,10 +90,7 @@ int main(int argc, char** argv) {
       // as "#METRICS TSV"); print everything including the terminator.
       serve::ClientConnection connection;
       connection.connect(*host, *port, connect_policy);
-      // "--admin '#LEARN ...'" ships the control line as-is; anything else
-      // keeps the historical "#REPLICA <cmd>" framing.
-      connection.send_line(admin->front() == '#' ? *admin
-                                                 : "#REPLICA " + *admin);
+      connection.send_line("#REPLICA " + *admin);
       std::string line;
       do {
         if (!connection.recv_line(line))
@@ -121,21 +102,18 @@ int main(int argc, char** argv) {
     }
 
     if (*metrics) {
-      // Single-line flavours (legacy / JSON) answer with exactly one line;
-      // the multi-line flavours end with a terminator line (#END for TSV,
-      // "# EOF" for Prometheus) which we print too, so output is diffable
-      // against what the wire carried.
-      std::string command = "#METRICS";
+      // JSON answers with exactly one line; the multi-line flavours end
+      // with a terminator line (#END for TSV, "# EOF" for Prometheus) which
+      // we print too, so output is diffable against what the wire carried.
+      std::string command = "#METRICS JSON";
       std::string terminator;
-      if (*metrics_format == "json") {
-        command = "#METRICS JSON";
-      } else if (*metrics_format == "tsv") {
+      if (*metrics_format == "tsv") {
         command = "#METRICS TSV";
         terminator = "#END";
       } else if (*metrics_format == "prom") {
         command = "#METRICS PROM";
         terminator = "# EOF";
-      } else if (!metrics_format->empty()) {
+      } else if (*metrics_format != "json") {
         throw std::runtime_error("unknown --metrics-format '" + *metrics_format +
                                  "' (expected json, tsv or prom)");
       }

@@ -19,8 +19,8 @@
 // "GNERMMAP"); with the mmap format all replicas share one page-cache
 // copy of the weights. The wire protocol is graphner_serve's, plus the
 // "#REPLICA kill|revive|swap|status" admin line (graphner_client --admin)
-// driving the chaos drill and hot-swap, and — with --learn — the "#LEARN
-// text|file|status|rollback" online-learning line (DESIGN.md §12): new
+// driving the chaos drill and hot-swap, and — with --learn — the
+// "#REPLICA learn text|file|status|rollback" online-learning line (DESIGN.md §12): new
 // sentences become k-NN graph vertices incrementally, a localized
 // re-propagation refreshes their label distributions, and the learned
 // fork is hot-swapped into every replica.
@@ -29,7 +29,7 @@
 // journals every committed batch before the swap and replays it on
 // restart to byte-identical learned state; --canary gates each fork on a
 // held-out decode set (drift past --canary-max-disagreement quarantines
-// the batch); "#LEARN rollback" restores the previous generation
+// the batch); "#REPLICA learn rollback" restores the previous generation
 // tier-wide. --health-probe-ms starts the replica health supervisor:
 // sentinel probes open per-replica circuit breakers after
 // --health-failures consecutive misses and close them again half-open.
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
       "metrics-dump-every", 0,
       "dump the Prometheus metrics snapshot to stderr every N seconds (0 = off)");
   auto learn = cli.toggle(
-      "learn", "enable the online #LEARN path (incremental graph + "
+      "learn", "enable the online #REPLICA learn path (incremental graph + "
                "localized re-propagation, hot-swapped into every replica)");
   auto learn_seed = cli.flag<std::string>(
       "learn-seed", "",
@@ -162,14 +162,14 @@ int main(int argc, char** argv) {
       "learn-tolerance", 1e-6, "residual tolerance of localized re-propagation");
   auto learn_wal_dir = cli.flag<std::string>(
       "learn-wal-dir", "",
-      "durable learning: journal committed #LEARN batches here and replay "
-      "them on restart (DESIGN.md §13; empty = in-memory only)");
+      "durable learning: journal committed #REPLICA learn batches here and "
+      "replay them on restart (DESIGN.md §13; empty = in-memory only)");
   auto learn_snapshot_every = cli.flag<std::size_t>(
       "learn-snapshot-every", 32,
       "committed batches between learn WAL snapshot compactions");
   auto learn_max_file_bytes = cli.flag<std::uint64_t>(
       "learn-max-file-bytes", 8ULL << 20,
-      "reject '#LEARN file' inputs larger than this many bytes");
+      "reject '#REPLICA learn file' inputs larger than this many bytes");
   auto canary = cli.flag<std::string>(
       "canary", "",
       "held-out canary sentence file every learned fork must decode "
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
 
     if (!learn_seed->empty()) {
       // The seed corpus goes through the exact admin path a client's
-      // "#LEARN file" would take, so serving starts from a learned tier.
+      // "#REPLICA learn file" would take, so serving starts from a learned tier.
       // With a WAL dir, a restart that already replayed learned state
       // skips the seed — replay owns the learned history, not the flag.
       const router::LearnLog* learn_log = router.learn_log();
@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
     std::cerr << "graphner_router: stopping (signal " << g_signal.load() << ")\n";
     server.stop();
     router.stop();
-    std::cerr << router.metrics_json() << '\n';
+    std::cerr << obs::export_json(router.observability_snapshot()) << '\n';
     const std::string faults = util::FaultInjector::instance().summary();
     if (!faults.empty()) std::cerr << "injected faults:\n" << faults;
   } catch (const std::exception& e) {

@@ -103,11 +103,6 @@ int main(int argc, char** argv) {
   auto metrics_every = cli.flag<long>(
       "metrics-dump-every", 0,
       "dump the Prometheus metrics snapshot to stderr every N seconds (0 = off)");
-  auto beam = cli.flag<std::size_t>(
-      "beam", 0, "max active CRF states per position (0 = exact decode)");
-  auto posterior_threshold = cli.flag<double>(
-      "posterior-threshold", 0.0,
-      "prune states below this order-0 tag posterior (0 = keep all)");
   auto quantized = cli.flag<std::string>(
       "quantized", "off", "emission weight storage: off | int16 | int8");
   cli.parse(argc, argv);
@@ -115,12 +110,10 @@ int main(int argc, char** argv) {
   try {
     auto model = obtain_model(*load_model, *dir, *profile, *checkpoint_dir);
     crf::DecodeOptions decode;
-    decode.beam = *beam;
-    decode.posterior_threshold = *posterior_threshold;
     decode.quantization = crf::parse_quantization(*quantized);
     // Configured before any decode (offline pass or service workers):
-    // quantized tables build here, once, and the decode.config.* gauges
-    // the #METRICS scrape echoes are published.
+    // quantized tables build here, once, and the decode.config.quantized
+    // gauge the #METRICS scrape echoes is published.
     model.set_decode_options(decode);
     if (!decode.exact())
       std::cerr << "graphner_serve: decode " << decode.to_string() << '\n';
@@ -180,7 +173,7 @@ int main(int argc, char** argv) {
     std::cerr << "graphner_serve: stopping (signal " << g_signal.load() << ")\n";
     server.stop();
     service.stop();
-    std::cerr << service.metrics_json() << '\n';
+    std::cerr << obs::export_json(service.observability_snapshot()) << '\n';
     // Chaos post-mortem: which injected fault points actually fired.
     const std::string faults = util::FaultInjector::instance().summary();
     if (!faults.empty()) std::cerr << "injected faults:\n" << faults;

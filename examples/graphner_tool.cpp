@@ -24,6 +24,7 @@
 #include "src/eval/typed_eval.hpp"
 #include "src/graphner/experiment.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/span.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/table.hpp"
 
@@ -70,11 +71,6 @@ int cmd_tag(int argc, char** argv) {
   auto metrics_json = cli.flag<std::string>(
       "metrics-json", "",
       "after the run, write the metric registry + trace spans here as JSON");
-  auto beam = cli.flag<std::size_t>(
-      "beam", 0, "max active CRF states per position (0 = exact decode)");
-  auto posterior_threshold = cli.flag<double>(
-      "posterior-threshold", 0.0,
-      "prune states below this order-0 tag posterior (0 = keep all)");
   auto quantized = cli.flag<std::string>(
       "quantized", "off", "emission weight storage: off | int16 | int8");
   cli.parse(argc, argv);
@@ -104,12 +100,10 @@ int cmd_tag(int argc, char** argv) {
   };
   auto model = make_model();
   crf::DecodeOptions decode;
-  decode.beam = *beam;
-  decode.posterior_threshold = *posterior_threshold;
   decode.quantization = crf::parse_quantization(*quantized);
   // Applies to every decode below — the transductive posterior pass, the
   // baseline Viterbi, the final belief decode inputs — and publishes the
-  // decode.config.* gauges the --metrics-json dump carries.
+  // decode.config.quantized gauge the --metrics-json dump carries.
   model.set_decode_options(decode);
   if (!decode.exact())
     std::cout << "decode: " << decode.to_string() << '\n';

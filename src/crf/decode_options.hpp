@@ -1,31 +1,18 @@
-// Decode-time knobs for the pruned / quantized CRF kernels.
+// Decode-time knob for the CRF kernels: emission-weight quantization.
 //
 // The exact scaled kernels (DESIGN.md §4c) score the full tag lattice of
-// every sentence. DecodeOptions trades bounded accuracy for speed along
-// two independent axes:
+// every sentence, and every decode still does. What DecodeOptions trades is
+// the emission pass: weights stored as int16/int8 with one calibrated
+// scale per feature row and a float accumulator — 4-8x less weight-table
+// memory traffic on the dominant emission accumulation — feed the
+// unchanged exact recurrences. Requires LinearChainCrf::prepare_quantization
+// (done at model load or by set_decode_options); options that ask for a
+// table that was never built decode in float.
 //
-//   * Pruning: beam search fused into the recurrences themselves — at each
-//     position only the `beam` states with the best *actual* forward score
-//     (Viterbi) or forward mass (forward-backward) survive, with
-//     `posterior_threshold` additionally cutting states that fall below
-//     threshold x the position's best. The next position is then reached
-//     through the survivors' outgoing edges only. Ranking on the true
-//     recurrence values (transition history included) keeps narrow beams
-//     faithful to exact decode. If pruning ever degenerates, the whole
-//     sentence transparently falls back to the exact kernel.
-//
-//   * Quantization: emission weights stored as int16/int8 with one
-//     calibrated scale per feature row and a float accumulator — 4-8x less
-//     weight-table memory traffic on the dominant emission accumulation.
-//     Requires LinearChainCrf::prepare_quantization (done at model load or
-//     by set_decode_options); options that ask for a table that was never
-//     built decode in float.
-//
-// Default-constructed options are *exact*: every entry point dispatches to
-// the unchanged scaled kernels, bit-identical to a build without this layer.
+// Default-constructed options are *exact*: bit-identical to the float
+// kernels.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -60,48 +47,16 @@ enum class Quantization : std::uint8_t {
 }
 
 struct DecodeOptions {
-  /// Max active states per lattice position; 0 = unlimited. Values >= the
-  /// state count (3 at order 1, 9 at order 2) only exercise the pruned code
-  /// path without dropping states.
-  std::size_t beam = 0;
-  /// Drop states whose forward mass (forward-backward) or best-path mass
-  /// (Viterbi, where the cut is -ln(threshold) in score space) falls below
-  /// this fraction of the position's best surviving state; 0 = keep
-  /// everything. The position's best always survives its own cut.
-  double posterior_threshold = 0.0;
   Quantization quantization = Quantization::kFloat;
 
-  /// True when decoding under these options is guaranteed bit-identical to
-  /// the exact scaled kernels (which is then what actually runs).
+  /// True when decoding under these options is bit-identical to the exact
+  /// float kernels.
   [[nodiscard]] bool exact() const noexcept {
-    return beam == 0 && posterior_threshold == 0.0 &&
-           quantization == Quantization::kFloat;
-  }
-  /// True when the active-set machinery runs (beam or threshold set).
-  [[nodiscard]] bool prunes() const noexcept {
-    return beam > 0 || posterior_threshold > 0.0;
+    return quantization == Quantization::kFloat;
   }
 
   [[nodiscard]] std::string to_string() const {
-    return "beam=" + (beam == 0 ? std::string("inf") : std::to_string(beam)) +
-           " threshold=" + std::to_string(posterior_threshold) +
-           " quantized=" + quantization_name(quantization);
-  }
-};
-
-/// Per-sentence pruning outcome, left in the Scratch by the pruned kernels
-/// (and mirrored into the obs registry: decode.active_state_fraction,
-/// decode.beam_fallbacks).
-struct PruneStats {
-  std::size_t active_states = 0;  ///< sum of active-set sizes over positions
-  std::size_t total_states = 0;   ///< positions x num_states
-  bool fallback = false;          ///< pruning degenerated; exact kernel ran
-
-  [[nodiscard]] double active_fraction() const noexcept {
-    return total_states == 0
-               ? 1.0
-               : static_cast<double>(active_states) /
-                     static_cast<double>(total_states);
+    return std::string("quantized=") + quantization_name(quantization);
   }
 };
 

@@ -82,8 +82,8 @@ void LinearChainCrf::rebuild_weight_caches() {
   exp_start_.assign(space_.num_states(), 0.0);
   for (const StateId s : space_.start_states()) exp_start_[s] = std::exp(start[s]);
 
-  // Keep the decode-time tables (reachability masks, any prepared quantized
-  // weights) in sync with the live weights; see src/crf/pruned.cpp.
+  // Keep any prepared quantized weights in sync with the live weights; see
+  // src/crf/quantized.cpp.
   rebuild_decode_tables();
 }
 
@@ -439,42 +439,17 @@ SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
 DecodeOptions LinearChainCrf::effective_options(const DecodeOptions& options) const {
   DecodeOptions eff = options;
   if (!quantization_ready(eff.quantization)) eff.quantization = Quantization::kFloat;
-  // A beam at least as wide as the state space can never drop a state, so
-  // treat it as no beam at all: the dense recurrence gives the same answer
-  // without paying for active-set bookkeeping.
-  if (eff.beam >= space_.num_states()) eff.beam = 0;
-  // The pruned kernels track reachability in 32-bit state masks (in_mask_,
-  // start_mask_); spaces wider than 32 states (multi-entity order 2) decode
-  // through the exact dense path instead.
-  if (space_.num_states() > 32) {
-    eff.beam = 0;
-    eff.posterior_threshold = 0.0;
-  }
   return eff;
 }
 
 SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
                                               Scratch& sc,
                                               const DecodeOptions& options) const {
-  const DecodeOptions eff = effective_options(options);
-  if (eff.exact()) {
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states =
-        sentence.size() * space_.num_states();
-    run_forward_backward(sentence, sc);
-    return fold_posteriors(sentence, sc);
-  }
-  if (!eff.prunes()) {
-    // Quantized but unpruned: the exact recurrence over the quantized
-    // emission lattice, with none of the active-set bookkeeping.
-    emission_scores(sentence, eff.quantization, sc.emit);
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states = sentence.size() * space_.num_states();
-    forward_backward_from_emit(sentence, sc);
-  } else {
-    run_forward_backward_pruned(sentence, eff, sc);
-  }
-  publish_prune_stats(sc);
+  assert(sentence.size() > 0);
+  // Pick the emission kernel, then run the unchanged exact recurrence: float
+  // is the exact kernel itself, so default options stay bit-identical.
+  emission_scores(sentence, effective_options(options).quantization, sc.emit);
+  forward_backward_from_emit(sentence, sc);
   return fold_posteriors(sentence, sc);
 }
 
@@ -504,13 +479,6 @@ void LinearChainCrf::accumulate_tag_transition_expectations(
     const EncodedSentence& sentence, text::LabelMatrix& counts) const {
   Scratch scratch;
   accumulate_tag_transition_expectations(sentence, counts, scratch);
-}
-
-std::vector<text::Tag> LinearChainCrf::viterbi_exact(const EncodedSentence& sentence,
-                                                     Scratch& sc) const {
-  assert(sentence.size() > 0);
-  emission_scores(sentence, sc.emit);
-  return viterbi_from_emit(sentence, sc);
 }
 
 std::vector<text::Tag> LinearChainCrf::viterbi_from_emit(
@@ -577,24 +545,9 @@ std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence,
 std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence,
                                                Scratch& sc,
                                                const DecodeOptions& options) const {
-  const DecodeOptions eff = effective_options(options);
-  if (eff.exact()) {
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states =
-        sentence.size() * space_.num_states();
-    return viterbi_exact(sentence, sc);
-  }
-  std::vector<text::Tag> tags;
-  if (!eff.prunes()) {
-    emission_scores(sentence, eff.quantization, sc.emit);
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states = sentence.size() * space_.num_states();
-    tags = viterbi_from_emit(sentence, sc);
-  } else {
-    tags = viterbi_pruned(sentence, eff, sc);
-  }
-  publish_prune_stats(sc);
-  return tags;
+  assert(sentence.size() > 0);
+  emission_scores(sentence, effective_options(options).quantization, sc.emit);
+  return viterbi_from_emit(sentence, sc);
 }
 
 std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence) const {

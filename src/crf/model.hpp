@@ -62,12 +62,6 @@ class LinearChainCrf {
     std::vector<double> vscore; ///< n x S Viterbi scores (log domain)
     std::vector<StateId> vback; ///< n x S Viterbi backpointers
     double log_z = 0.0;
-
-    // Pruned-decode workspace (see src/crf/pruned.cpp). `prune` holds the
-    // outcome of the most recent pruned call on this scratch.
-    std::vector<StateId> active;       ///< concatenated active lists
-    std::vector<std::uint32_t> active_off;  ///< n + 1 offsets into `active`
-    PruneStats prune;
   };
 
   LinearChainCrf(StateSpace space, std::size_t num_features);
@@ -101,7 +95,7 @@ class LinearChainCrf {
   /// exact kernel above (same scores, same summation order), int16/int8 the
   /// dense pass over the prepared quantized table. Exposed so tests and
   /// benches can bound quantization drift at the score level; the decode
-  /// entry points use it internally (src/crf/pruned.cpp).
+  /// entry points use it internally (src/crf/quantized.cpp).
   void emission_scores(const EncodedSentence& sentence, Quantization quantization,
                        std::vector<double>& out) const;
 
@@ -112,7 +106,7 @@ class LinearChainCrf {
   double log_likelihood(const EncodedSentence& sentence,
                         std::span<double> grad = {}) const;
 
-  // --- decode configuration (pruning + quantization, DESIGN.md §10) ---
+  // --- decode configuration (quantization, DESIGN.md §10) ---
 
   /// Default options for posteriors()/viterbi(). Also prepares whatever the
   /// options need: a non-float quantization builds its weight table up
@@ -178,8 +172,7 @@ class LinearChainCrf {
 
  private:
   /// Normalize per-call decode options: downgrade quantization modes whose
-  /// tables are not prepared, and erase beams as wide as the state space
-  /// (they can never drop a state, so the dense path is strictly better).
+  /// tables are not prepared to float.
   [[nodiscard]] DecodeOptions effective_options(const DecodeOptions& options) const;
   /// Scaled linear-domain forward-backward. Postcondition (shared with the
   /// log-space fallback): sc.log_z, sc.node (n x S node marginals) and
@@ -187,8 +180,8 @@ class LinearChainCrf {
   /// everything else in the scratch is internal workspace.
   void run_forward_backward(const EncodedSentence& sentence, Scratch& sc) const;
   /// The recurrence half of run_forward_backward: assumes sc.emit is already
-  /// filled (by either emission kernel), so quantized-but-unpruned decodes
-  /// and pruning fallbacks can reuse the lattice they already paid for.
+  /// filled (by either emission kernel), so quantized decodes run the exact
+  /// recurrence over the lattice they already paid for.
   void forward_backward_from_emit(const EncodedSentence& sentence, Scratch& sc) const;
   /// Log-space recurrences for sentences whose scaled lattice degenerates
   /// (a position where the forward row underflows behind a constraint).
@@ -201,37 +194,18 @@ class LinearChainCrf {
   /// Recompute exp(transition)/exp(start) caches after a weight change.
   void rebuild_weight_caches();
 
-  // --- pruned / quantized decode internals (src/crf/pruned.cpp) ---
+  // --- quantized decode internals (src/crf/quantized.cpp) ---
 
-  /// Pruned counterparts of the exact kernels. Pruning is fused into the
-  /// forward recurrences (beam search on true forward scores / masses, not
-  /// a pre-pass proxy); survivors per position are recorded in
-  /// sc.active/active_off. Shared postcondition with run_forward_backward:
-  /// sc.log_z / sc.node / sc.pair filled (pruned entries zero). Both fall
-  /// back to the exact kernels when pruning degenerates, recording it in
-  /// sc.prune.
-  void run_forward_backward_pruned(const EncodedSentence& sentence,
-                                   const DecodeOptions& options, Scratch& sc) const;
-  std::vector<text::Tag> viterbi_pruned(const EncodedSentence& sentence,
-                                        const DecodeOptions& options,
-                                        Scratch& sc) const;
-  /// The pre-pruning exact kernels, unchanged; what exact options (and the
-  /// pruned fallbacks) dispatch to.
-  std::vector<text::Tag> viterbi_exact(const EncodedSentence& sentence,
-                                       Scratch& sc) const;
-  /// Recurrence half of viterbi_exact over a pre-filled sc.emit (same reuse
-  /// contract as forward_backward_from_emit).
+  /// Viterbi recurrence over a pre-filled sc.emit (same reuse contract as
+  /// forward_backward_from_emit).
   std::vector<text::Tag> viterbi_from_emit(const EncodedSentence& sentence,
                                            Scratch& sc) const;
   /// Fold sc.node / sc.pair (filled by any forward-backward flavour) down to
   /// tag-level marginals.
   [[nodiscard]] SentencePosteriors fold_posteriors(const EncodedSentence& sentence,
                                                    const Scratch& sc) const;
-  /// Refresh the reachability masks and any prepared quantized table after
-  /// a weight change.
+  /// Refresh any prepared quantized table after a weight change.
   void rebuild_decode_tables();
-  /// Publish sc.prune to the obs registry after a pruned decode.
-  void publish_prune_stats(const Scratch& sc) const;
 
   StateSpace space_;
   std::size_t num_features_;
@@ -257,8 +231,6 @@ class LinearChainCrf {
   // Decode-time tables (DESIGN.md §10), refreshed alongside the weight
   // caches by rebuild_decode_tables().
   DecodeOptions decode_options_{};
-  std::vector<std::uint32_t> in_mask_;  ///< per state: bitmask of CSR predecessors
-  std::uint32_t start_mask_ = 0;        ///< bitmask of legal start states
   // Quantized emission tables (num_features x S, feature-row scales beside
   // them); empty until prepare_quantization() builds them.
   std::vector<std::int16_t> quant16_;

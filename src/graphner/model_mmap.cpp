@@ -109,7 +109,7 @@ void GraphNerModel::compute_fingerprint() {
   fingerprint_ = fmt::fnv1a(shape, sizeof(shape), hash);
   // Online-learned forks decode differently under identical weights, so
   // their identity must differ too — otherwise the decode cache would keep
-  // serving the base model's tags after a #LEARN swap.
+  // serving the base model's tags after a #REPLICA learn swap.
   if (learned_) {
     const std::uint64_t learned_hash = learned_->content_hash();
     fingerprint_ = fmt::fnv1a(&learned_hash, sizeof(learned_hash), fingerprint_);

@@ -10,6 +10,7 @@
 #include "src/graph/vertex_features.hpp"
 #include "src/graphner/checkpoint.hpp"
 #include "src/obs/registry.hpp"
+#include "src/obs/span.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/math.hpp"
 #include "src/util/parallel.hpp"
@@ -72,28 +73,14 @@ namespace {
 
 }  // namespace
 
-TrainingTimings training_timings_from_spans(const obs::SpanCapture& capture) {
-  TrainingTimings timings;
-  timings.brown_seconds = capture.total_seconds("train.brown");
-  timings.word2vec_seconds = capture.total_seconds("train.word2vec");
-  timings.kmeans_seconds = capture.total_seconds("train.kmeans");
-  timings.encode_seconds = capture.total_seconds("train.encode");
-  timings.crf_train_seconds = capture.total_seconds("train.crf");
-  timings.reference_seconds = capture.total_seconds("train.reference");
-  return timings;
-}
-
 GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
                                    const std::vector<text::Sentence>& unlabelled_text,
                                    const GraphNerConfig& config) {
   GraphNerModel model;
   model.config_ = config;
 
-  // Every phase below times itself with a trace span; the capture mirrors
-  // the spans closed on this thread so the legacy TrainingTimings view can
-  // be materialized from the trace at the end (phases that were restored
-  // from a checkpoint open no span and report 0).
-  obs::SpanCapture trace;
+  // Every phase below times itself with a "train.<phase>" trace span
+  // (phases restored from a checkpoint open no span).
   obs::ScopedSpan train_span("train");
 
   // Crash-safe phase checkpoints (no-op when checkpoint_dir is empty):
@@ -237,7 +224,6 @@ GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
         ReferenceDistributions::build(labelled, config.labels));
     model.reference_seconds_ = ref_span.close();
   }
-  model.training_timings_ = training_timings_from_spans(trace);
 
   train_span.attr("features", static_cast<std::uint64_t>(model.index_->size()));
   train_span.attr("reference_trigrams",
@@ -256,13 +242,11 @@ GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
 
 void GraphNerModel::set_decode_options(const crf::DecodeOptions& options) {
   crf_->set_decode_options(options);
-  // Mirror the active configuration into gauges so a #METRICS scrape (or
+  // Mirror the active configuration into a gauge so a #METRICS scrape (or
   // the tool's --metrics-json dump) always shows what decodes are running
-  // under. beam 0 means unlimited, matching the wire/CLI convention.
-  auto& reg = obs::Registry::global();
-  reg.gauge("decode.config.beam").set(static_cast<double>(options.beam));
-  reg.gauge("decode.config.posterior_threshold").set(options.posterior_threshold);
-  reg.gauge("decode.config.quantized")
+  // under.
+  obs::Registry::global()
+      .gauge("decode.config.quantized")
       .set(static_cast<double>(options.quantization));
 }
 
@@ -358,7 +342,6 @@ GraphNerModel GraphNerModel::fork_with_learned(
   fork.learned_ = std::move(learned);
   fork.train_seconds_ = train_seconds_;
   fork.reference_seconds_ = reference_seconds_;
-  fork.training_timings_ = training_timings_;
   // Keep any mmap mapping alive for as long as the fork serves from it.
   fork.mapping_ = mapping_;
   fork.map_base_ = map_base_;

@@ -30,7 +30,6 @@
 #include "src/graph/trigram.hpp"
 #include "src/graphner/config.hpp"
 #include "src/graphner/reference.hpp"
-#include "src/obs/span.hpp"
 #include "src/text/sentence.hpp"
 
 namespace graphner::core {
@@ -53,36 +52,6 @@ struct PipelineTimings {
   }
 };
 
-/// Wall-clock breakdown of the TRAIN procedure (embedding phases matter:
-/// at paper scale Brown + word2vec dominate, which is what the windowed /
-/// Hogwild training kernels attack — see DESIGN.md §6).
-///
-/// Deprecated as a measurement mechanism: the phases are now timed by
-/// obs trace spans ("train.brown", "train.word2vec", ...) and this struct
-/// is a thin adapter materialized from them (training_timings_from_spans)
-/// so existing benches keep their typed view. New consumers should read
-/// the spans / the obs registry instead.
-struct TrainingTimings {
-  double brown_seconds = 0.0;
-  double word2vec_seconds = 0.0;
-  double kmeans_seconds = 0.0;
-  double encode_seconds = 0.0;     ///< feature extraction + batch encoding
-  double crf_train_seconds = 0.0;  ///< L-BFGS optimization only
-  double reference_seconds = 0.0;
-
-  [[nodiscard]] double total() const noexcept {
-    return brown_seconds + word2vec_seconds + kmeans_seconds + encode_seconds +
-           crf_train_seconds + reference_seconds;
-  }
-};
-
-/// Materialize the legacy TrainingTimings view from the spans a
-/// SpanCapture mirrored while GraphNerModel::train ran: each field is the
-/// summed duration of the phase's "train.<phase>" spans (0.0 for phases
-/// that did not run — skipped profiles, checkpoint-restored work).
-[[nodiscard]] TrainingTimings training_timings_from_spans(
-    const obs::SpanCapture& capture);
-
 struct GraphNerStats {
   std::size_t vertices = 0;
   std::size_t edges = 0;
@@ -104,10 +73,10 @@ class GraphNerModel {
   GraphNerModel(GraphNerModel&&) noexcept = default;
   GraphNerModel& operator=(GraphNerModel&&) noexcept = default;
 
-  /// Default decode options (pruning + quantization, DESIGN.md §10) for
-  /// every decode / posterior entry point below, including the pipeline's
-  /// corpus-wide posterior passes. Forwards to the CRF (building quantized
-  /// tables eagerly) and publishes the decode.config.* gauges. Configure
+  /// Default decode options (quantization, DESIGN.md §10) for every decode
+  /// / posterior entry point below, including the pipeline's corpus-wide
+  /// posterior passes. Forwards to the CRF (building quantized tables
+  /// eagerly) and publishes the decode.config.quantized gauge. Configure
   /// before sharing the model across threads — not safe against concurrent
   /// decodes, like set_weights.
   void set_decode_options(const crf::DecodeOptions& options);
@@ -207,7 +176,7 @@ class GraphNerModel {
   /// table, any mmap mapping) with this model by reference count, swaps in
   /// `learned`, and recomputes the fingerprint so the serving tier's decode
   /// cache distinguishes the fork from its base. O(1) in model size — this
-  /// is what makes #LEARN's hot-swap cheap.
+  /// is what makes #REPLICA learn's hot-swap cheap.
   [[nodiscard]] GraphNerModel fork_with_learned(
       std::shared_ptr<const ReferenceDistributions> learned) const;
   /// The online-learned table; nullptr on models that never learned.
@@ -234,10 +203,6 @@ class GraphNerModel {
     return gazetteer_.get();
   }
   [[nodiscard]] double train_seconds() const noexcept { return train_seconds_; }
-  /// Per-phase TRAIN wall-clock (zeroed on a load()ed model).
-  [[nodiscard]] const TrainingTimings& training_timings() const noexcept {
-    return training_timings_;
-  }
   [[nodiscard]] std::size_t feature_count() const noexcept { return index_->size(); }
 
   /// Text model format version. v3 adds the "labels" block (the model's
@@ -331,7 +296,6 @@ class GraphNerModel {
   std::shared_ptr<const ReferenceDistributions> learned_;
   double train_seconds_ = 0.0;
   double reference_seconds_ = 0.0;
-  TrainingTimings training_timings_{};
   std::uint64_t fingerprint_ = 0;
   // mmap-loaded models keep their file mapping alive here (the deleter
   // munmaps); the CRF weight span points into [map_base_, map_base_ + map_size_).

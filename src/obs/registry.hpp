@@ -2,7 +2,7 @@
 // (DESIGN.md §9).
 //
 // Every subsystem that used to carry its own ad-hoc instrumentation
-// (serve::ServiceMetrics, core::TrainingTimings, one-off Stopwatch sums)
+// (serve::ServiceMetrics, per-phase training timers, one-off Stopwatch sums)
 // now registers instruments here and reports through the shared
 // exporters (src/obs/export.hpp). Design constraints, in order:
 //

@@ -20,9 +20,8 @@
 //   [graphner DEBUG] span close train.brown 1.382s
 //
 // SpanCapture additionally mirrors every span closed *on its thread*
-// into a local vector while it is alive — the seam that lets
-// GraphNerModel::train materialize the legacy TrainingTimings struct
-// from the trace instead of threading stopwatches through every phase.
+// into a local vector while it is alive — e.g. to read back the
+// per-phase "train.<phase>" durations of one GraphNerModel::train call.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,8 @@
 // LearnLog: durable, quarantine-aware journal of the online-learning path
 // (DESIGN.md §13).
 //
-// The router's #LEARN path mutates an OnlineLearner in memory and swaps
-// the learned fork into every replica — state a crash would silently
+// The router's #REPLICA learn path mutates an OnlineLearner in memory and
+// swaps the learned fork into every replica — state a crash would silently
 // discard. LearnLog makes the path crash-safe with the classic WAL +
 // snapshot pair:
 //
@@ -23,10 +23,10 @@
 //     guarantees (tests/test_learn.cpp pins this).
 //
 // Quarantine is the "never serve this batch" primitive behind both the
-// canary gate and "#LEARN rollback": a quarantine record names a sequence
-// replay must skip, and the live learner is brought to the matching state
-// by rebuild() — reconstruct from snapshot + retained journal minus the
-// quarantined sequences. Rollback is just a retroactive quarantine of the
+// canary gate and "#REPLICA learn rollback": a quarantine record names a
+// sequence replay must skip, and the live learner is brought to the
+// matching state by rebuild() — reconstruct from snapshot + retained
+// journal minus the quarantined sequences. Rollback is just a retroactive quarantine of the
 // newest committed sequence.
 //
 // With an empty dir the log runs in-memory only (no durability, no
@@ -56,7 +56,7 @@ struct LearnLogConfig {
 };
 
 /// What construction-time recovery found (logged and surfaced by
-/// "#LEARN status" so operators can audit a restart).
+/// "#REPLICA learn status" so operators can audit a restart).
 struct LearnRecovery {
   bool snapshot_loaded = false;
   std::uint64_t snapshot_seq = 0;

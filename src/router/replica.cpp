@@ -102,6 +102,10 @@ void InProcessReplica::retire_service() {
     service_ = nullptr;
     healthy_ = false;
   }
+  drain(std::move(old));
+}
+
+void InProcessReplica::drain(std::shared_ptr<serve::TaggingService> old) {
   if (!old) return;
   old->stop();  // graceful: drains queued work, every future resolves
   const obs::RegistrySnapshot terminal = old->metrics().raw;
@@ -130,13 +134,28 @@ void InProcessReplica::swap_model(
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) return;
   }
-  retire_service();  // queued requests finish under the old model
+  // Make before break: the new service is up before it is published, and
+  // publishing never drops healthy_, so the router always sees a routable
+  // replica. A request that raced onto the old service still resolves
+  // (queued work drains under the old model; a late submit answers
+  // SHUTDOWN and the router fails over).
   auto service = std::make_shared<serve::TaggingService>(*model, config_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  model_ = std::move(model);
-  service_ = std::move(service);
-  labels_ = nullptr;  // re-materialized from the new model on demand
-  healthy_ = true;
+  // Declared first so it outlives `old`: the old service decodes against
+  // the old model until its drain completes.
+  std::shared_ptr<const core::GraphNerModel> old_model;
+  std::shared_ptr<serve::TaggingService> old;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) {
+      old = std::move(service);  // stopped mid-swap: never publish
+    } else {
+      old_model = std::exchange(model_, std::move(model));
+      old = std::exchange(service_, std::move(service));
+      labels_ = nullptr;  // re-materialized from the new model on demand
+      healthy_ = true;
+    }
+  }
+  drain(std::move(old));
 }
 
 obs::RegistrySnapshot InProcessReplica::metrics_snapshot() const {

@@ -69,7 +69,8 @@ class ReplicaHandle {
   /// Fresh worker pool over the current model.
   virtual void revive() = 0;
   /// Atomic hot-swap to `model`: new requests decode under it as soon as
-  /// the swap completes; queued requests finish under the old model.
+  /// the swap completes; queued requests finish under the old model. The
+  /// replica stays healthy throughout (make before break).
   virtual void swap_model(std::shared_ptr<const core::GraphNerModel> model) = 0;
 
   /// This replica's counters/histograms (bare names: "submitted", ...),
@@ -99,9 +100,11 @@ class InProcessReplica : public ReplicaHandle {
   void stop() override;
 
  private:
-  /// Detach the live service (marking the replica unhealthy), stop it
-  /// outside the lock, and fold its counters into retired_.
+  /// Detach the live service (marking the replica unhealthy), then drain it.
   void retire_service();
+  /// Stop a detached service outside the lock and fold its counters into
+  /// retired_ (no-op on null).
+  void drain(std::shared_ptr<serve::TaggingService> old);
 
   serve::ServiceConfig config_;
   mutable std::mutex mutex_;

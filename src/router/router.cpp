@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/obs/export.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/util/logging.hpp"
 
@@ -262,10 +261,6 @@ obs::RegistrySnapshot Router::observability_snapshot() const {
     out.counters.push_back({"fault." + name + ".fires", {}, stats.fires});
   }
   return out;
-}
-
-std::string Router::metrics_json() const {
-  return obs::export_json(observability_snapshot());
 }
 
 std::string Router::admin(const std::string& command) {

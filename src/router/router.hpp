@@ -31,12 +31,12 @@
 // (TagService::admin): kill/revive drive the chaos drill, swap hot-swaps
 // one replica's model from a file (text or mmap format, auto-sniffed) and
 // invalidates the cache generation no replica serves anymore. With
-// learn_enabled, "#LEARN text|file|status|rollback" (wire sugar for
-// "#REPLICA learn ...") drives the online-learning path: the batch is
-// absorbed by an OnlineLearner (incremental k-NN append + localized
-// re-propagation, DESIGN.md §12), gated by a canary decode, journaled to
-// the learn WAL (LearnLog — crash replay reaches byte-identical learned
-// state, DESIGN.md §13), and only then hot-swapped into every replica
+// learn_enabled, "#REPLICA learn text|file|status|rollback" drives the
+// online-learning path: the batch is absorbed by an OnlineLearner
+// (incremental k-NN append + localized re-propagation, DESIGN.md §12),
+// gated by a canary decode, journaled to the learn WAL (LearnLog — crash
+// replay reaches byte-identical learned state, DESIGN.md §13), and only
+// then hot-swapped into every replica
 // through the same fingerprint/cache-invalidation machinery. rollback
 // retroactively quarantines the newest committed batch and restores the
 // previous generation tier-wide.
@@ -99,9 +99,9 @@ struct RouterConfig {
                                        2.0,
                                        0.2,
                                        3};
-  /// Enable the online "#LEARN" path: the router keeps an OnlineLearner
-  /// over the initial model and hot-swaps learned forks into every
-  /// replica after each absorbed batch.
+  /// Enable the online "#REPLICA learn" path: the router keeps an
+  /// OnlineLearner over the initial model and hot-swaps learned forks into
+  /// every replica after each absorbed batch.
   bool learn_enabled = false;
   core::OnlineLearnerConfig learn;
   /// Durable learning (DESIGN.md §13): directory for the learn WAL +
@@ -120,10 +120,10 @@ struct RouterConfig {
   /// reaches a replica. Negative = quarantine every gated batch
   /// (deterministic chaos drills).
   double canary_max_disagreement = 0.25;
-  /// "#LEARN file" ingestion cap — larger files are rejected unread.
+  /// "#REPLICA learn file" ingestion cap — larger files are rejected unread.
   std::uint64_t learn_max_file_bytes = 8ULL << 20;
-  /// Learned generations retained for "#LEARN rollback" (min 2 once a
-  /// batch commits: current + previous).
+  /// Learned generations retained for "#REPLICA learn rollback" (min 2
+  /// once a batch commits: current + previous).
   std::size_t learn_generations = 4;
   /// Health supervisor probe interval; 0 (default) disables the
   /// supervisor entirely — replica health stays manual (#REPLICA
@@ -157,11 +157,10 @@ class Router : public serve::TagService {
   using serve::TagService::submit;  ///< positional (deadline, decode) sugar
 
   [[nodiscard]] obs::RegistrySnapshot observability_snapshot() const override;
-  [[nodiscard]] std::string metrics_json() const override;
 
   /// The admin verb table documented in protocol.hpp: replica lifecycle
   /// (kill/revive/swap/status), tenant models (model add|swap|drop|list,
-  /// quota), and the "#LEARN"-routed learn subtree when learn_enabled.
+  /// quota), and the learn subtree when learn_enabled.
   [[nodiscard]] std::string admin(const std::string& command) override;
 
   /// In-process mirror of "#REPLICA model add": register an additional

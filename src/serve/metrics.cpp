@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/obs/export.hpp"
-
 namespace graphner::serve {
 namespace {
 
@@ -49,8 +47,6 @@ double LatencyHistogram::max_us() const noexcept {
 double LatencyHistogram::quantile_us(double q) const noexcept {
   return histogram_.total() == 0 ? 0.0 : from_log(histogram_.quantile(q));
 }
-
-std::string MetricsSnapshot::to_json() const { return obs::export_json(raw); }
 
 ServiceMetrics::ServiceMetrics()
     : submitted_(registry_.counter("submitted")),

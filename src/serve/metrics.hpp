@@ -13,8 +13,7 @@
 // MetricsSnapshot keeps its pre-registry shape (typed counter fields,
 // LatencyHistogram accessors, mean_batch_size()) so service callers and
 // tests are untouched; it is now materialized as a typed view over the
-// registry snapshot it carries, and to_json() delegates to the shared
-// obs JSON exporter.
+// registry snapshot it carries.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +74,6 @@ struct MetricsSnapshot {
   [[nodiscard]] double mean_batch_size() const noexcept {
     return batch_size.mean();
   }
-  /// One-line JSON via the shared obs exporter:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}.
-  [[nodiscard]] std::string to_json() const;
 };
 
 class ServiceMetrics {

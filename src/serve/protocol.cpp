@@ -185,22 +185,19 @@ struct JsonCursor {
       return false;
     }
     const std::string key = word.substr(0, eq);
-    const std::string value = word.substr(eq + 1);
+    if (key == "beam" || key == "threshold") {
+      // Removed pruning knobs answer loudly: silently dropping them would
+      // leave an old client believing it had asked for a pruned decode.
+      error = "DECODE key \"" + key +
+              "\" was removed; decode is always exact (use quantized=)";
+      return false;
+    }
+    if (key != "quantized") {
+      error = "unknown DECODE key \"" + key + "\" (expected quantized)";
+      return false;
+    }
     try {
-      if (key == "beam") {
-        options.beam = value == "inf" ? 0 : std::stoul(value);
-      } else if (key == "threshold") {
-        options.posterior_threshold = std::stod(value);
-        if (options.posterior_threshold < 0.0 ||
-            options.posterior_threshold >= 1.0)
-          throw std::invalid_argument("threshold must be in [0, 1)");
-      } else if (key == "quantized") {
-        options.quantization = crf::parse_quantization(value);
-      } else {
-        error = "unknown DECODE key \"" + key +
-                "\" (expected beam, threshold or quantized)";
-        return false;
-      }
+      options.quantization = crf::parse_quantization(word.substr(eq + 1));
     } catch (const std::exception&) {
       error = "bad DECODE value \"" + word + "\"";
       return false;
@@ -254,44 +251,27 @@ void split_deadline_suffix(std::string& id, long& deadline_ms) {
   return true;
 }
 
-/// One row of the admin-alias table: the wire spelling, the words
-/// prefixed onto the payload before dispatch, and the usage string an
-/// empty payload answers with. "#REPLICA" maps 1:1; "#LEARN" is sugar
-/// that prefixes "learn" — one parse path for the whole admin surface
-/// (oversize cap, empty-payload check, kAdmin framing), per the verb
-/// table in protocol.hpp.
-struct AdminAlias {
-  std::string_view line_verb;     ///< e.g. "#REPLICA"
-  std::string_view admin_prefix;  ///< e.g. "" or "learn "
-  std::string_view usage;         ///< the empty-payload error detail
-};
+/// True when `trimmed` is `verb` alone or `verb` followed by a space.
+[[nodiscard]] bool starts_with_verb(const std::string& trimmed,
+                                    std::string_view verb) {
+  return trimmed.compare(0, verb.size(), verb) == 0 &&
+         (trimmed.size() == verb.size() || trimmed[verb.size()] == ' ');
+}
 
-constexpr AdminAlias kAdminAliases[] = {
-    {"#REPLICA", "",
-     "needs a command (kill/revive/swap/status/model/quota/learn)"},
-    {"#LEARN", "learn ",
-     "needs arguments (text <tokens...> | file <path> | status)"},
-};
-
-/// Parse `trimmed` against one admin alias. Returns true when the line
-/// carried that verb (out is fully filled, kAdmin or kMalformed).
-[[nodiscard]] bool parse_admin_alias(const std::string& trimmed,
-                                     const AdminAlias& alias, ParsedLine& out) {
-  const std::size_t n = alias.line_verb.size();
-  if (trimmed.compare(0, n, alias.line_verb) != 0) return false;
-  if (trimmed.size() > n && trimmed[n] != ' ') return false;
-  const std::string args{
-      util::trim(trimmed.size() > n ? trimmed.substr(n + 1) : std::string{})};
-  if (reject_oversized_admin(std::string{alias.line_verb}, args.size(), out))
-    return true;
+/// Parse a "#REPLICA <verb> ..." line: the one admin spelling (see the verb
+/// table in protocol.hpp). Out is fully filled, kAdmin or kMalformed.
+void parse_admin_line(const std::string& trimmed, ParsedLine& out) {
+  constexpr std::string_view kVerb = "#REPLICA";
+  const std::string args{util::trim(trimmed.substr(kVerb.size()))};
+  if (reject_oversized_admin(std::string{kVerb}, args.size(), out)) return;
   if (args.empty()) {
     out.kind = LineKind::kMalformed;
-    out.error = std::string{alias.line_verb} + " " + std::string{alias.usage};
-    return true;
+    out.error =
+        "#REPLICA needs a command (kill/revive/swap/status/model/quota/learn)";
+    return;
   }
-  out.admin = std::string{alias.admin_prefix} + args;
+  out.admin = args;
   out.kind = LineKind::kAdmin;
-  return true;
 }
 
 }  // namespace
@@ -305,9 +285,7 @@ ParsedLine parse_request_line(const std::string& line) {
   }
   if (trimmed == "#METRICS" || trimmed.rfind("#METRICS ", 0) == 0) {
     const std::string flavour{util::trim(trimmed.substr(8))};
-    if (flavour.empty())
-      out.metrics_flavour = MetricsFlavour::kLegacy;
-    else if (flavour == "JSON")
+    if (flavour.empty() || flavour == "JSON")
       out.metrics_flavour = MetricsFlavour::kJson;
     else if (flavour == "TSV")
       out.metrics_flavour = MetricsFlavour::kTsv;
@@ -346,11 +324,16 @@ ParsedLine parse_request_line(const std::string& line) {
     }
     return out;
   }
-  // The admin surface: one alias table, one parse path (see protocol.hpp
-  // for the verb table). "#LEARN" is spelled-out sugar for "#REPLICA
-  // learn", so the online-learning path rides the same admin dispatch.
-  for (const AdminAlias& alias : kAdminAliases)
-    if (parse_admin_alias(trimmed, alias, out)) return out;
+  if (starts_with_verb(trimmed, "#REPLICA")) {
+    parse_admin_line(trimmed, out);
+    return out;
+  }
+  if (starts_with_verb(trimmed, "#LEARN")) {
+    // The retired spelling must not fall through to bare-token tagging.
+    out.kind = LineKind::kMalformed;
+    out.error = "#LEARN was removed; send \"#REPLICA learn <args>\" instead";
+    return out;
+  }
   if (trimmed == "#QUIT") {
     out.kind = LineKind::kQuit;
     return out;

@@ -29,26 +29,25 @@
 // space-separated tokens with id "-" (netcat-friendly). Control lines:
 // "#QUIT" closes the connection; "#METRICS" scrapes the server:
 //
-//   #METRICS        one JSON line of the service's own metrics
-//                   (DEPRECATED — see MetricsFlavour::kLegacy)
 //   #METRICS JSON   one JSON line of the full observability snapshot
-//                   (serve.* + process-global + fault.* counters)
+//                   (serve.* + process-global + fault.* counters); a
+//                   bare "#METRICS" answers the same
 //   #METRICS TSV    same snapshot as "name<TAB>value" lines, then "#END"
 //   #METRICS PROM   same snapshot in Prometheus text format, then "# EOF"
 //
 // "#DECODE" selects the decode options (DESIGN.md §10) for every later
 // request on the connection:
 //
-//   #DECODE beam=4 threshold=0.001 quantized=int16
+//   #DECODE quantized=int16
 //   #DECODE off
 //
-// Any subset of beam= (0 or inf = unlimited), threshold= and quantized=
-// (off | int16 | int8) may appear; omitted knobs keep their exact
-// defaults. "#DECODE off" (or a bare "#DECODE") drops the connection
-// override and returns to the server's configured options. Well-formed
-// lines produce no reply — pipelined clients keep their 1:1
-// request/response accounting — while malformed ones answer with the
-// usual parse-error line.
+// quantized= (off | int16 | int8) is the only key. "#DECODE off" (or a
+// bare "#DECODE") drops the connection override and returns to the
+// server's configured options. Well-formed lines produce no reply —
+// pipelined clients keep their 1:1 request/response accounting — while
+// malformed ones answer with the usual parse-error line. The removed
+// pruning keys (beam=, threshold=) answer a parse error naming their
+// removal.
 //
 // Non-OK statuses put the error detail where the tags would go. The JSON
 // reader handles exactly this shape (string escapes included) — it is a
@@ -56,10 +55,10 @@
 //
 // Admin channel — ONE parse path, one verb table. Every administrative
 // line funnels into LineKind::kAdmin and is dispatched by the serving
-// tier (TagService::admin). "#REPLICA <verb> ..." is the canonical
-// spelling; "#LEARN <args>" is pure sugar for "#REPLICA learn <args>"
-// (same size cap, same reply framing — free-form lines terminated by
-// "#END"). The verbs the router tier implements:
+// tier (TagService::admin). "#REPLICA <verb> ..." is the only spelling
+// (replies are free-form lines terminated by "#END"); the retired
+// "#LEARN <args>" answers a parse error naming "#REPLICA learn". The verbs
+// the router tier implements:
 //
 //   verb                            | effect
 //   --------------------------------+---------------------------------
@@ -101,8 +100,8 @@
 
 namespace graphner::serve {
 
-/// Upper bound on the payload of one admin control line ("#REPLICA ..." /
-/// "#LEARN ..."). Admin lines are parsed and echoed into logs and the WAL;
+/// Upper bound on the payload of one admin control line ("#REPLICA ...").
+/// Admin lines are parsed and echoed into logs and the WAL;
 /// an unbounded one would let a single connection balloon the learn
 /// journal (or the log) with one write. Oversized lines are rejected at
 /// parse time with a structured error, before any admin dispatch runs.
@@ -129,7 +128,7 @@ enum class LineKind {
   kMetrics,    ///< "#METRICS [JSON|TSV|PROM]" — `metrics_flavour` is filled
   kDecode,     ///< "#DECODE ..." — `decode` is filled (nullopt = reset)
   kModel,      ///< "#MODEL ..." — `model` is filled (empty = reset)
-  kAdmin,      ///< "#REPLICA ..." / "#LEARN ..." — `admin` holds the words
+  kAdmin,      ///< "#REPLICA ..." — `admin` holds the words
   kQuit,       ///< "#QUIT"
   kEmpty,      ///< blank line — ignore
   kMalformed,  ///< `error` is filled
@@ -137,15 +136,7 @@ enum class LineKind {
 
 /// Which serialization a "#METRICS" control line asked for.
 enum class MetricsFlavour {
-  /// Bare "#METRICS": the service's own metrics, one JSON line.
-  /// DEPRECATED since the tenant-scoped API: the body only covers the
-  /// answering service's private registry — no tenant.*, cache.* or
-  /// fault.* rows — so dashboards over it silently miss the multi-tenant
-  /// surface. Kept bit-for-bit for old scrapers; new clients should send
-  /// "#METRICS JSON" (same transport, full snapshot). Scheduled for
-  /// removal once nothing in CI scrapes the bare form.
-  kLegacy,
-  kJson,    ///< full observability snapshot, one JSON line
+  kJson,    ///< full observability snapshot, one JSON line (also bare)
   kTsv,     ///< full snapshot as name<TAB>value lines, terminated "#END"
   kProm,    ///< full snapshot as Prometheus text, terminated "# EOF"
 };
@@ -153,7 +144,7 @@ enum class MetricsFlavour {
 struct ParsedLine {
   LineKind kind = LineKind::kMalformed;
   Request request;
-  MetricsFlavour metrics_flavour = MetricsFlavour::kLegacy;
+  MetricsFlavour metrics_flavour = MetricsFlavour::kJson;
   /// For kDecode: the connection's new decode override, or nullopt for
   /// "#DECODE off" (drop the override, use the server default).
   std::optional<crf::DecodeOptions> decode;

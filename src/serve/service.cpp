@@ -212,7 +212,7 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
         // router's cross-request cache uses, never re-derived here.
         key = request.key;
         // Two requests only share a decode when they share its options:
-        // a pruned answer must never be fanned out to an exact request.
+        // a quantized answer must never be fanned out to an exact request.
         if (request.decode) key += opts.to_string();
         if (const auto hit = decoded.find(key); hit != decoded.end()) {
           response.tags = hit->second.first;       // shared decode's tags

@@ -105,9 +105,6 @@ class TaggingService : public TagService {
   void stop();
 
   [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  [[nodiscard]] std::string metrics_json() const override {
-    return metrics_.snapshot().to_json();
-  }
   /// Everything a scrape should see, merged into one snapshot: this
   /// service's registry (names prefixed "serve."), the process-global
   /// registry (training/propagation/checkpoint instruments), and the

@@ -45,8 +45,6 @@ void send_all(int fd, const std::string& data) {
 [[nodiscard]] std::string metrics_reply(const TagService& service,
                                         MetricsFlavour flavour) {
   switch (flavour) {
-    case MetricsFlavour::kLegacy:
-      return service.metrics_json() + "\n";
     case MetricsFlavour::kJson:
       return obs::export_json(service.observability_snapshot()) + "\n";
     case MetricsFlavour::kTsv:
@@ -161,7 +159,7 @@ void SocketServer::handle_connection(std::size_t slot) {
       // Drain buffered complete lines first: submitting them all before
       // waiting on any future is what lets one connection fill a batch.
       bool want_metrics = false;
-      MetricsFlavour metrics_flavour = MetricsFlavour::kLegacy;
+      MetricsFlavour metrics_flavour = MetricsFlavour::kJson;
       bool want_admin = false;
       std::string admin_command;
       while (!quit && take_line(buffer, line)) {

@@ -65,11 +65,8 @@ class TagService {
     return submit(std::move(sentence), std::move(options));
   }
 
-  /// The full scrape the "#METRICS JSON|TSV|PROM" flavours serialize.
+  /// The full scrape the "#METRICS [JSON]|TSV|PROM" flavours serialize.
   [[nodiscard]] virtual obs::RegistrySnapshot observability_snapshot() const = 0;
-
-  /// The legacy bare-"#METRICS" one-line JSON body.
-  [[nodiscard]] virtual std::string metrics_json() const = 0;
 
   /// Handle a "#REPLICA <command>" admin line and return the reply body
   /// (free-form lines; the server terminates it with "#END"). The base

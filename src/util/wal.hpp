@@ -1,7 +1,7 @@
 // Write-ahead log: CRC-framed, fsync-disciplined append-only journal.
 //
 // The durability primitive behind the serving tier's online learning
-// (DESIGN.md §13): every committed #LEARN batch is framed as
+// (DESIGN.md §13): every committed #REPLICA learn batch is framed as
 //
 //   [u32 magic][u32 payload length][u32 CRC-32 of payload][payload]
 //

@@ -1,5 +1,5 @@
 // Online learning tests (ISSUE 8): OnlineLearner state growth, learned-fork
-// fingerprints, the #LEARN wire verb, and the router's learn → fork →
+// fingerprints, the #REPLICA learn wire verb, and the router's learn → fork →
 // tier-wide hot-swap → cache-invalidation path.
 //
 // Durable learning tests (ISSUE 9): OnlineLearner snapshot round-trips
@@ -128,17 +128,25 @@ TEST_F(LearnTier, SnapshotForkCarriesLearnedTableAndFreshFingerprint) {
 }
 
 TEST(LearnProtocol, LearnLineIsAdminSugar) {
-  const auto parsed = serve::parse_request_line("#LEARN text p53 activates");
+  const auto parsed =
+      serve::parse_request_line("#REPLICA learn text p53 activates");
   EXPECT_EQ(parsed.kind, serve::LineKind::kAdmin);
   EXPECT_EQ(parsed.admin, "learn text p53 activates");
 
-  const auto status = serve::parse_request_line("#LEARN status");
+  const auto status = serve::parse_request_line("#REPLICA learn status");
   EXPECT_EQ(status.kind, serve::LineKind::kAdmin);
   EXPECT_EQ(status.admin, "learn status");
 
-  const auto bare = serve::parse_request_line("#LEARN");
-  EXPECT_EQ(bare.kind, serve::LineKind::kMalformed);
-  EXPECT_NE(bare.error.find("#LEARN"), std::string::npos);
+  // The retired "#LEARN" spelling answers a parse error naming its
+  // replacement; it must never fall through to bare-token tagging.
+  for (const std::string line :
+       {"#LEARN status", "#LEARN text p53 activates", "#LEARN"}) {
+    SCOPED_TRACE(line);
+    const auto retired = serve::parse_request_line(line);
+    EXPECT_EQ(retired.kind, serve::LineKind::kMalformed);
+    EXPECT_NE(retired.error.find("#REPLICA learn"), std::string::npos)
+        << retired.error;
+  }
 }
 
 TEST_F(LearnTier, RouterLearnSwapsEveryReplicaAndInvalidatesTheCache) {
@@ -470,7 +478,7 @@ TEST_F(LearnTier, LearnFileCapRejectsOversizedIngestion) {
 
 TEST(LearnProtocol, OversizedAdminLinesAreRejectedAtParseTime) {
   const std::string big(serve::kMaxAdminLineBytes + 1, 'a');
-  const auto learn = serve::parse_request_line("#LEARN text " + big);
+  const auto learn = serve::parse_request_line("#REPLICA learn text " + big);
   EXPECT_EQ(learn.kind, serve::LineKind::kMalformed);
   EXPECT_NE(learn.error.find("admin line cap"), std::string::npos)
       << learn.error;
@@ -480,8 +488,8 @@ TEST(LearnProtocol, OversizedAdminLinesAreRejectedAtParseTime) {
   EXPECT_TRUE(replica.admin.empty());
 
   // Exactly at the cap still parses.
-  const std::string at_cap(serve::kMaxAdminLineBytes - 5, 'b');
-  const auto fits = serve::parse_request_line("#LEARN text " + at_cap);
+  const std::string at_cap(serve::kMaxAdminLineBytes - 11, 'b');
+  const auto fits = serve::parse_request_line("#REPLICA learn text " + at_cap);
   EXPECT_EQ(fits.kind, serve::LineKind::kAdmin);
 }
 

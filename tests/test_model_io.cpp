@@ -2,9 +2,12 @@
 // identically to the model that was saved, for both profiles.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "src/corpus/generator.hpp"
 #include "src/graphner/model_format.hpp"
@@ -138,6 +141,13 @@ TEST_F(ModelIoMalformed, TrailingWhitespaceIsFine) {
 
 // --- zero-copy mmap format -------------------------------------------------
 
+/// A scratch path private to this test process: ctest runs every test in
+/// its own process, in parallel, and a shared file rewritten under another
+/// process's live mapping faults that process.
+std::string scratch_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
 class ModelIoMmap : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -145,7 +155,7 @@ class ModelIoMmap : public ::testing::Test {
         corpus::generate_corpus(corpus::bc2gm_like_spec(0.05, 3)));
     model_ = new GraphNerModel(
         GraphNerModel::train(data_->train, {}, GraphNerConfig{}));
-    path_ = new std::string(::testing::TempDir() + "model_io_mmap.gmm");
+    path_ = new std::string(scratch_path("model_io_mmap.gmm"));
     model_->save_mmap_file(*path_);
     std::ifstream in(*path_, std::ios::binary);
     ASSERT_TRUE(in);
@@ -154,6 +164,7 @@ class ModelIoMmap : public ::testing::Test {
   }
   static void TearDownTestSuite() {
     delete bytes_;
+    std::remove(path_->c_str());
     delete path_;
     delete model_;
     delete data_;
@@ -164,7 +175,7 @@ class ModelIoMmap : public ::testing::Test {
   /// corruption, one distinct message per rejection.
   static void expect_mmap_error(const std::string& bytes,
                                 const std::string& fragment) {
-    const std::string path = ::testing::TempDir() + "model_io_corrupt.gmm";
+    const std::string path = scratch_path("model_io_corrupt.gmm");
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -176,6 +187,7 @@ class ModelIoMmap : public ::testing::Test {
       EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
           << e.what();
     }
+    std::remove(path.c_str());
   }
 
   /// Locate a section's payload [offset, size) via the section table.
@@ -267,11 +279,12 @@ TEST_F(ModelIoMmap, AutoLoaderSniffsBothFormats) {
   const auto mmap_loaded = GraphNerModel::load_auto_file(*path_);
   EXPECT_TRUE(mmap_loaded.weights_mapped());
 
-  const std::string text_path = ::testing::TempDir() + "model_io_text.gnm";
+  const std::string text_path = scratch_path("model_io_text.gnm");
   model_->save_file(text_path);
   const auto text_loaded = GraphNerModel::load_auto_file(text_path);
   EXPECT_FALSE(text_loaded.weights_mapped());
   EXPECT_EQ(text_loaded.fingerprint(), mmap_loaded.fingerprint());
+  std::remove(text_path.c_str());
 }
 
 TEST_F(ModelIoMmap, TwoMappingsOfOneFileShareTheFileNoHeapCopies) {

@@ -100,15 +100,11 @@ TEST(TenantProtocol, IngestionComputesTheSentenceKeyOnce) {
 }
 
 TEST(TenantProtocol, AdminAliasesShareOneParsePath) {
-  // "#LEARN <args>" is wire sugar for "#REPLICA learn <args>" — both land
-  // in the same kAdmin payload shape.
-  const auto learn = serve::parse_request_line("#LEARN text p53");
-  ASSERT_EQ(learn.kind, serve::LineKind::kAdmin);
-  EXPECT_EQ(learn.admin, "learn text p53");
-
+  // Every admin subtree (learn, model, ...) lands in the same kAdmin
+  // payload shape through the one "#REPLICA" spelling.
   const auto replica = serve::parse_request_line("#REPLICA learn text p53");
   ASSERT_EQ(replica.kind, serve::LineKind::kAdmin);
-  EXPECT_EQ(replica.admin, learn.admin);
+  EXPECT_EQ(replica.admin, "learn text p53");
 
   const auto model = serve::parse_request_line("#REPLICA model list");
   ASSERT_EQ(model.kind, serve::LineKind::kAdmin);

@@ -418,6 +418,66 @@ TEST_F(RouterTier, ChaosKillReviveUnderLoadLosesNoRequestAndHidesShutdown) {
   router.stop();
 }
 
+TEST_F(RouterTier, LearnedSwapsUnderLoadNeverAnswerUnavailable) {
+  // Every "learn text" batch hot-swaps a learned fork into every replica
+  // (swap_all_replicas). Swaps are make-before-break, so a replica never
+  // reports unhealthy mid-swap — a poller watches for it — and concurrent
+  // submitters must never see UNAVAILABLE; a request that raced onto a
+  // retired service fails over.
+  RouterConfig config = small_config(2, /*cache=*/false);
+  config.learn_enabled = true;
+  Router router(*model_, config);
+
+  std::atomic<bool> done{false};
+  constexpr int kClients = 3;
+  std::atomic<int> unavailable{0};
+  std::atomic<int> answered{0};
+  std::atomic<int> unhealthy{0};
+  std::thread poller([&] {
+    while (!done.load())
+      for (std::size_t i = 0; i < router.replica_count(); ++i)
+        if (!router.replica(i).healthy()) unhealthy.fetch_add(1);
+  });
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t r = 0; !done.load(); ++r) {
+        const std::size_t i = (c + r) % sentences_->size();
+        auto response = router.submit((*sentences_)[i]).get();
+        if (response.status == serve::Status::kUnavailable)
+          unavailable.fetch_add(1);
+        if (response.ok()) {
+          // Learned forks only feed the blended decode: plain tags hold.
+          EXPECT_EQ(response.tags, (*expected_)[i]);
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  constexpr std::size_t kSwaps = 12;
+  for (std::size_t b = 0; b < kSwaps; ++b) {
+    std::string line;
+    for (const auto& token : (*sentences_)[b % sentences_->size()].tokens)
+      line += (line.empty() ? "" : " ") + token;
+    const std::string reply = router.admin("learn text " + line);
+    EXPECT_EQ(reply.rfind("OK", 0), 0U) << reply;
+  }
+  done.store(true);
+  poller.join();
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(unhealthy.load(), 0);
+  EXPECT_EQ(unavailable.load(), 0);
+  EXPECT_GT(answered.load(), 0);
+  const auto snapshot = router.observability_snapshot();
+  EXPECT_EQ(snapshot.counter_value("router.unavailable"), 0U);
+  EXPECT_TRUE(router.replica(0).healthy());
+  EXPECT_TRUE(router.replica(1).healthy());
+  router.stop();
+}
+
 TEST_F(RouterTier, SocketServerFrontsRouterWithAdminProtocol) {
   Router router(*model_, small_config(2));
   serve::SocketServer server(router, {});

@@ -259,11 +259,13 @@ TEST_F(ServeTest, SocketServerRoundTripsAgainstOfflineDecode) {
   EXPECT_EQ(json_response.rfind("{\"id\":\"j1\",\"status\":\"ok\",\"tags\":[", 0), 0U)
       << json_response;
 
+  // Bare "#METRICS" answers the full JSON snapshot, same as "#METRICS JSON".
   connection.send_line("#METRICS");
   std::string metrics_line;
   ASSERT_TRUE(connection.recv_line(metrics_line));
   EXPECT_EQ(metrics_line.front(), '{');
-  EXPECT_NE(metrics_line.find("\"completed\":"), std::string::npos);
+  EXPECT_NE(metrics_line.find("\"serve.completed\":"), std::string::npos)
+      << metrics_line;
 
   connection.send_line("#QUIT");
   std::string eof_line;
@@ -758,9 +760,9 @@ TEST_F(ServeTest, RequestDeadlineBoundsTheRetryLoop) {
 }
 
 TEST(ServeProtocol, ParsesMetricsFlavours) {
-  const auto legacy = parse_request_line("#METRICS");
-  ASSERT_EQ(legacy.kind, LineKind::kMetrics);
-  EXPECT_EQ(legacy.metrics_flavour, MetricsFlavour::kLegacy);
+  const auto bare = parse_request_line("#METRICS");
+  ASSERT_EQ(bare.kind, LineKind::kMetrics);
+  EXPECT_EQ(bare.metrics_flavour, MetricsFlavour::kJson);
 
   const auto json = parse_request_line("#METRICS JSON");
   ASSERT_EQ(json.kind, LineKind::kMetrics);
@@ -777,6 +779,34 @@ TEST(ServeProtocol, ParsesMetricsFlavours) {
   const auto bad = parse_request_line("#METRICS XML");
   EXPECT_EQ(bad.kind, LineKind::kMalformed);
   EXPECT_NE(bad.error.find("XML"), std::string::npos);
+}
+
+TEST(ServeProtocol, DecodeAcceptsOnlyQuantized) {
+  const auto int8 = parse_request_line("#DECODE quantized=int8");
+  ASSERT_EQ(int8.kind, LineKind::kDecode);
+  ASSERT_TRUE(int8.decode.has_value());
+  EXPECT_EQ(int8.decode->quantization, crf::Quantization::kInt8);
+
+  const auto off = parse_request_line("#DECODE off");
+  ASSERT_EQ(off.kind, LineKind::kDecode);
+  EXPECT_FALSE(off.decode.has_value());
+
+  // The removed pruning keys answer a parse error naming the removal and
+  // the surviving key — never a silent no-op, never tokens to tag.
+  for (const std::string line :
+       {"#DECODE beam=4", "#DECODE threshold=0.001",
+        "#DECODE quantized=int8 beam=4"}) {
+    SCOPED_TRACE(line);
+    const auto parsed = parse_request_line(line);
+    ASSERT_EQ(parsed.kind, LineKind::kMalformed);
+    EXPECT_NE(parsed.error.find("removed"), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find("quantized="), std::string::npos)
+        << parsed.error;
+  }
+
+  EXPECT_EQ(parse_request_line("#DECODE quantized=int4").kind,
+            LineKind::kMalformed);
+  EXPECT_EQ(parse_request_line("#DECODE speed=11").kind, LineKind::kMalformed);
 }
 
 TEST_F(ServeTest, MetricsScrapeFlavoursConserveCountsOverSocket) {

@@ -16,6 +16,7 @@
 #include "src/embeddings/brown_reference.hpp"
 #include "src/embeddings/word2vec.hpp"
 #include "src/graphner/pipeline.hpp"
+#include "src/obs/span.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/strings.hpp"
@@ -427,34 +428,31 @@ TEST(ParallelKMeans, AssignsEveryWordUnderThreads) {
   }
 }
 
-TEST(TrainingTimings, PhasesPopulatedForChemDnerProfile) {
+// GraphNerModel::train times every phase with a "train.<phase>" span.
+TEST(TrainingPhaseSpans, PhasesPopulatedForChemDnerProfile) {
   const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(0.1, 42));
   core::GraphNerConfig config;
   config.profile = core::CrfProfile::kBannerChemDner;
   config.embedding_threads = 2;  // Hogwild path must also populate timers
+  obs::SpanCapture trace;
   const auto model = core::GraphNerModel::train(data.train, {}, config);
-  const auto& timings = model.training_timings();
-  EXPECT_GT(timings.brown_seconds, 0.0);
-  EXPECT_GT(timings.word2vec_seconds, 0.0);
-  EXPECT_GT(timings.kmeans_seconds, 0.0);
-  EXPECT_GT(timings.encode_seconds, 0.0);
-  EXPECT_GT(timings.crf_train_seconds, 0.0);
-  EXPECT_GT(timings.reference_seconds, 0.0);
-  // train_seconds() (the legacy encode+optimize timer) covers its two phases.
-  EXPECT_LE(timings.encode_seconds + timings.crf_train_seconds,
+  for (const char* phase : {"train.brown", "train.word2vec", "train.kmeans",
+                            "train.encode", "train.crf", "train.reference"})
+    EXPECT_GT(trace.total_seconds(phase), 0.0) << phase;
+  // train_seconds() (the encode+optimize timer) covers its two phases.
+  EXPECT_LE(trace.total_seconds("train.encode") + trace.total_seconds("train.crf"),
             model.train_seconds() + 1e-6);
-  EXPECT_GT(timings.total(), 0.0);
 }
 
-TEST(TrainingTimings, BannerProfileSkipsEmbeddingPhases) {
+TEST(TrainingPhaseSpans, BannerProfileSkipsEmbeddingPhases) {
   const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(0.1, 42));
+  obs::SpanCapture trace;
   const auto model =
       core::GraphNerModel::train(data.train, {}, core::GraphNerConfig{});
-  const auto& timings = model.training_timings();
-  EXPECT_EQ(timings.brown_seconds, 0.0);
-  EXPECT_EQ(timings.word2vec_seconds, 0.0);
-  EXPECT_EQ(timings.kmeans_seconds, 0.0);
-  EXPECT_GT(timings.crf_train_seconds, 0.0);
+  EXPECT_EQ(trace.total_seconds("train.brown"), 0.0);
+  EXPECT_EQ(trace.total_seconds("train.word2vec"), 0.0);
+  EXPECT_EQ(trace.total_seconds("train.kmeans"), 0.0);
+  EXPECT_GT(trace.total_seconds("train.crf"), 0.0);
 }
 
 }  // namespace
