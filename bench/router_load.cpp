@@ -93,7 +93,6 @@ LevelResult run_level(std::shared_ptr<const core::GraphNerModel> model,
   router::RouterConfig config;
   config.replicas = replicas;
   config.cache_enabled = cache;
-  config.replica_service.batching.max_delay = std::chrono::microseconds(0);
   router::Router tier(std::move(model), config);
 
   std::vector<std::vector<double>> latencies(concurrency);

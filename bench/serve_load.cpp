@@ -107,13 +107,9 @@ LevelResult run_level(const core::GraphNerModel& model,
   if (serial) {
     config.workers = 1;
     config.batching.max_batch = 1;
-    config.batching.max_delay = std::chrono::microseconds(0);
   } else {
     config.workers = 0;  // hardware concurrency
     config.batching.max_batch = 16;
-    // Natural batching: take whatever has queued while the workers were
-    // busy, never stall a closed-loop client waiting for a fuller batch.
-    config.batching.max_delay = std::chrono::microseconds(0);
   }
   serve::TaggingService service(model, config);
   std::mutex admission;  // serial mode: one request in flight, end to end

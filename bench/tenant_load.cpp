@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   router::RouterConfig config;
   config.replicas = 2;
   config.tenant_replicas = 2;
-  config.replica_service.batching.max_delay = std::chrono::microseconds(0);
   router::Router tier(gene_model, config);
   tier.add_model("jnlpba", bio_model);
 

@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
       "workers", 0, "decode workers per replica (0 = cores)");
   auto max_batch = cli.flag<std::size_t>("max-batch", 32, "micro-batch cap");
   auto max_queue = cli.flag<std::size_t>("max-queue", 1024, "queue depth bound");
-  auto delay_us = cli.flag<long>("delay-us", 2000, "max batch-formation delay");
   auto checkpoint_dir = cli.flag<std::string>(
       "checkpoint-dir", "",
       "crash-safe per-phase training checkpoints; rerun to resume");
@@ -222,8 +221,6 @@ int main(int argc, char** argv) {
     router_config.replica_service.workers = *workers;
     router_config.replica_service.batching.max_batch = *max_batch;
     router_config.replica_service.batching.max_queue_depth = *max_queue;
-    router_config.replica_service.batching.max_delay =
-        std::chrono::microseconds(*delay_us);
     router_config.replica_service.default_deadline =
         std::chrono::milliseconds(*deadline_ms);
     router_config.replica_service.blend_decode = *blend;

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   auto workers = cli.flag<std::size_t>("workers", 0, "decode workers (0 = cores)");
   auto max_batch = cli.flag<std::size_t>("max-batch", 32, "micro-batch cap");
   auto max_queue = cli.flag<std::size_t>("max-queue", 1024, "queue depth bound");
-  auto delay_us = cli.flag<long>("delay-us", 2000, "max batch-formation delay");
   auto checkpoint_dir = cli.flag<std::string>(
       "checkpoint-dir", "",
       "crash-safe per-phase training checkpoints; rerun to resume");
@@ -140,7 +139,6 @@ int main(int argc, char** argv) {
     service_config.workers = *workers;
     service_config.batching.max_batch = *max_batch;
     service_config.batching.max_queue_depth = *max_queue;
-    service_config.batching.max_delay = std::chrono::microseconds(*delay_us);
     service_config.default_deadline = std::chrono::milliseconds(*deadline_ms);
     service_config.blend_decode = *blend;
     service_config.degrade.high_watermark = *degrade_high;

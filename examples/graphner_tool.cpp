@@ -249,10 +249,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string subcommand = argv[1];
-  if (subcommand == "generate") return cmd_generate(argc - 1, argv + 1);
-  if (subcommand == "tag") return cmd_tag(argc - 1, argv + 1);
-  if (subcommand == "eval") return cmd_eval(argc - 1, argv + 1);
-  if (subcommand == "jnlpba") return cmd_jnlpba(argc - 1, argv + 1);
+  try {
+    if (subcommand == "generate") return cmd_generate(argc - 1, argv + 1);
+    if (subcommand == "tag") return cmd_tag(argc - 1, argv + 1);
+    if (subcommand == "eval") return cmd_eval(argc - 1, argv + 1);
+    if (subcommand == "jnlpba") return cmd_jnlpba(argc - 1, argv + 1);
+  } catch (const std::exception& e) {
+    std::cerr << "graphner_tool: " << e.what() << '\n';
+    return 1;
+  }
   std::cerr << "unknown subcommand '" << subcommand << "'\n";
   return 2;
 }

@@ -26,14 +26,7 @@ bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
   not_empty_.wait(lock, [&] { return !queue_.empty() || shutdown_; });
   if (queue_.empty()) return false;  // shutdown and fully drained
 
-  // Batch window: once work exists, linger until the batch fills or the
-  // oldest request's age reaches max_delay. During shutdown there is no
-  // point waiting for traffic that can no longer arrive.
-  const auto deadline = queue_.front().enqueued_at + policy_.max_delay;
-  while (queue_.size() < policy_.max_batch && !shutdown_) {
-    if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-  }
-
+  // Work-conserving: take whatever is waiting, up to max_batch, now.
   const std::size_t take = std::min(queue_.size(), policy_.max_batch);
   out.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {

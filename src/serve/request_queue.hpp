@@ -1,15 +1,15 @@
-// Bounded MPMC request queue with dynamic micro-batching.
+// Bounded MPMC request queue with work-conserving micro-batching.
 //
 // Producers (client threads, socket connections) push single requests;
-// consumers (decode workers) pop *batches*. A batch closes when either
-// `max_batch` requests are waiting or the oldest waiting request has aged
-// `max_delay` — so an idle service answers a lone request within the delay
-// budget while a busy one amortises wakeups and warm-buffer reuse over
-// full batches. Depth is bounded: a push against a full queue is rejected
-// immediately (the caller answers with Status::kOverloaded) instead of
-// blocking the producer — explicit backpressure rather than unbounded
-// memory growth. shutdown() stops admission but keeps handing out batches
-// until the queue is drained, which is what graceful stop needs.
+// consumers (decode workers) pop *batches*. A free worker takes everything
+// waiting, up to `max_batch`, as soon as the queue is non-empty, so batches
+// form only out of backlog. There is no batch-formation timer: open-loop
+// arrivals at serving rates never fill a batch, so a timer would only add
+// its length to every request (measurements in DESIGN.md §5). Depth is
+// bounded: a push against a full queue is rejected immediately (the caller
+// answers with Status::kOverloaded) instead of blocking the producer.
+// shutdown() stops admission but keeps handing out batches until the queue
+// is drained, which is what graceful stop needs.
 #pragma once
 
 #include <chrono>
@@ -28,9 +28,8 @@
 namespace graphner::serve {
 
 struct BatchPolicy {
-  std::size_t max_batch = 32;        ///< batch closes at this many requests
+  std::size_t max_batch = 32;          ///< most requests one pop takes
   std::size_t max_queue_depth = 1024;  ///< pushes beyond this are rejected
-  std::chrono::microseconds max_delay{2000};  ///< max wait for a fuller batch
   /// Decode identical token sequences within one micro-batch once and fan
   /// the result out to every duplicate. Decode is deterministic, so the
   /// duplicates' responses are byte-identical; corpus-shaped traffic (the
@@ -74,9 +73,9 @@ class BatchQueue {
   /// with the structured rejection.
   PushResult push(PendingRequest&& request);
 
-  /// Block until a micro-batch is ready (see file comment for the closing
-  /// rule), move it into `out` (cleared first), and return true. Returns
-  /// false only after shutdown() once the queue is fully drained.
+  /// Block until the queue is non-empty, move up to `max_batch` waiting
+  /// requests into `out` (cleared first), and return true. Returns false
+  /// only after shutdown() once the queue is fully drained.
   bool pop_batch(std::vector<PendingRequest>& out);
 
   /// Stop admitting work and wake every waiter. Idempotent.

@@ -43,8 +43,7 @@ TaggingService::TaggingService(const core::GraphNerModel& model,
     workers_.emplace_back([this, w] { worker_loop(w); });
   util::log_info("serve: started ", n, " workers, max_batch ",
                  config.batching.max_batch, ", queue depth ",
-                 config.batching.max_queue_depth, ", batch delay ",
-                 config.batching.max_delay.count(), " us",
+                 config.batching.max_queue_depth,
                  config_.blend_decode ? ", blend decode" : "",
                  config_.degrade.high_watermark > 0 ? ", degradable" : "",
                  decode_default_.exact()

@@ -13,6 +13,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/crf/model.hpp"
@@ -212,12 +213,18 @@ void expect_close(double actual, double expected) {
   EXPECT_NEAR(actual, expected, kTol * std::max(1.0, std::abs(expected)));
 }
 
+// CTest names each instance after its printed parameter, which for this
+// struct is a byte dump: the padding is spelled out and zeroed so the test
+// names do not depend on stack garbage.
 struct Case {
   int order;
+  std::uint32_t pad0 = 0;
   double weight_scale;  ///< stddev for moderate, half-range for degenerate
   bool degenerate;      ///< large-magnitude +-scale weights
+  std::uint8_t pad1[7] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(Case) == 32, "Case must have no implicit padding");
 
 class ScaledVsLogSpace : public ::testing::TestWithParam<Case> {};
 
@@ -274,9 +281,13 @@ TEST_P(ScaledVsLogSpace, AllOutputsMatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Orders, ScaledVsLogSpace,
-    ::testing::Values(Case{1, 0.5, false, 11}, Case{2, 0.5, false, 12},
-                      Case{1, 25.0, true, 13}, Case{2, 25.0, true, 14},
-                      Case{1, 0.05, false, 15}, Case{2, 1.5, false, 16}));
+    ::testing::Values(
+        Case{.order = 1, .weight_scale = 0.5, .degenerate = false, .seed = 11},
+        Case{.order = 2, .weight_scale = 0.5, .degenerate = false, .seed = 12},
+        Case{.order = 1, .weight_scale = 25.0, .degenerate = true, .seed = 13},
+        Case{.order = 2, .weight_scale = 25.0, .degenerate = true, .seed = 14},
+        Case{.order = 1, .weight_scale = 0.05, .degenerate = false, .seed = 15},
+        Case{.order = 2, .weight_scale = 1.5, .degenerate = false, .seed = 16}));
 
 TEST(ScaledFallback, DegenerateScaleMatchesLogSpace) {
   // Adversarial construction that drives a scaling constant to exactly 0:

@@ -8,11 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iostream>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "src/corpus/generator.hpp"
+#include "src/obs/export.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/request_queue.hpp"
 #include "src/serve/service.hpp"
@@ -58,7 +60,6 @@ TEST_F(ServeTest, EightClientThreadsMatchSequentialDecode) {
   ServiceConfig config;
   config.workers = 4;
   config.batching.max_batch = 8;
-  config.batching.max_delay = std::chrono::microseconds(500);
   TaggingService service(*model_, config);
 
   constexpr std::size_t kClients = 8;
@@ -99,11 +100,21 @@ TEST_F(ServeTest, EightClientThreadsMatchSequentialDecode) {
             snapshot.batches);
 }
 
+/// Scopes chaos to one test: the FaultInjector is a process-wide singleton,
+/// so every test that configures it must leave it disabled for the next.
+struct FaultGuard {
+  FaultGuard() { util::FaultInjector::instance().disable(); }
+  ~FaultGuard() { util::FaultInjector::instance().disable(); }
+};
+
 TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
+  FaultGuard guard;
+  // The single worker stalls 100 ms on its first batch, so the burst piles
+  // up behind it: batches form out of backlog, never out of a timer.
+  util::FaultInjector::instance().configure("worker.stall=1:100:1", 1);
   ServiceConfig config;
   config.workers = 1;
   config.batching.max_batch = 16;
-  config.batching.max_delay = std::chrono::microseconds(5000);
   TaggingService service(*model_, config);
 
   constexpr std::size_t kBurst = 64;
@@ -125,10 +136,12 @@ TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
 }
 
 TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
+  FaultGuard guard;
+  // As above: the stalled first batch makes the duplicates queue together.
+  util::FaultInjector::instance().configure("worker.stall=1:100:1", 1);
   ServiceConfig config;
   config.workers = 1;
   config.batching.max_batch = 16;
-  config.batching.max_delay = std::chrono::microseconds(5000);
   TaggingService service(*model_, config);
 
   // A burst where every request is the same sentence: one micro-batch
@@ -213,6 +226,22 @@ TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
   EXPECT_EQ(service.metrics().rejected_shutdown, 1U);
 }
 
+TEST_F(ServeTest, ReadmeInProcessSnippetCompilesAndRuns) {
+  const auto& model = *model_;
+  const auto& sentence = (*sentences_)[0];
+  ::testing::internal::CaptureStdout();
+  {
+    // Verbatim from README.md "Serving"; keep the two in sync.
+    serve::TaggingService service(model, {});          // workers = cores
+    auto tags = service.tag(sentence).tags;            // or submit() -> future
+    std::cout << obs::export_json(service.observability_snapshot()) << '\n';
+    EXPECT_EQ(tags, (*expected_)[0]);
+  }
+  const std::string json = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_NE(json.find("\"serve.completed\":"), std::string::npos) << json;
+}
+
 TEST_F(ServeTest, EmptySentenceTagsToEmpty) {
   TaggingService service(*model_, {});
   const auto response = service.tag(text::Sentence{});
@@ -276,13 +305,6 @@ TEST_F(ServeTest, SocketServerRoundTripsAgainstOfflineDecode) {
 
 // --- Fault tolerance: deadlines, degradation, chaos --------------------------
 
-/// Scopes chaos to one test: the FaultInjector is a process-wide singleton,
-/// so every test that configures it must leave it disabled for the next.
-struct FaultGuard {
-  FaultGuard() { util::FaultInjector::instance().disable(); }
-  ~FaultGuard() { util::FaultInjector::instance().disable(); }
-};
-
 TEST_F(ServeTest, DeadlinedRequestsAreShedBeforeDecode) {
   FaultGuard guard;
   // Every batch stalls 60 ms — far past the 20 ms request deadlines, so
@@ -291,7 +313,6 @@ TEST_F(ServeTest, DeadlinedRequestsAreShedBeforeDecode) {
   ServiceConfig config;
   config.workers = 1;
   config.batching.max_batch = 4;
-  config.batching.max_delay = std::chrono::microseconds(1000);
   TaggingService service(*model_, config);
 
   constexpr std::size_t kN = 8;
@@ -322,7 +343,6 @@ TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
   ServiceConfig config;
   config.workers = 1;
   config.batching.max_batch = 1;  // one request per batch: depth falls by 1 each
-  config.batching.max_delay = std::chrono::microseconds(100);
   config.blend_decode = true;
   config.degrade.high_watermark = 4;
   config.degrade.low_watermark = 0;
@@ -420,7 +440,6 @@ TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
   config.workers = 1;
   config.batching.max_batch = 2;
   config.batching.max_queue_depth = 4;
-  config.batching.max_delay = std::chrono::microseconds(500);
   TaggingService service(*model_, config);
 
   constexpr std::size_t kFlood = 64;
@@ -476,6 +495,49 @@ TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
             kN);
 }
 
+/// `n` bare requests straight into `queue`, as TaggingService::submit would.
+void push_n(BatchQueue& queue, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PendingRequest request;
+    request.enqueued_at = std::chrono::steady_clock::now();
+    ASSERT_EQ(queue.push(std::move(request)), BatchQueue::PushResult::kAccepted);
+  }
+}
+
+TEST(ServeQueue, PopHandsOverWithoutWaitingForAFullBatch) {
+  BatchPolicy policy;
+  policy.max_batch = 32;
+  BatchQueue queue(policy);
+  push_n(queue, 3);
+
+  // Nobody else can push on this thread, so a queue that held the batch
+  // open for more requests would sit out its whole timer here.
+  std::vector<PendingRequest> batch;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(queue.pop_batch(batch));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(batch.size(), 3U);
+  EXPECT_EQ(queue.depth(), 0U);
+  EXPECT_LT(waited, std::chrono::milliseconds(1));
+}
+
+TEST(ServeQueue, BacklogBeyondMaxBatchSplits) {
+  BatchPolicy policy;
+  policy.max_batch = 32;
+  BatchQueue queue(policy);
+  push_n(queue, 40);
+
+  std::vector<PendingRequest> batch;
+  ASSERT_TRUE(queue.pop_batch(batch));
+  EXPECT_EQ(batch.size(), 32U);
+  ASSERT_TRUE(queue.pop_batch(batch));
+  EXPECT_EQ(batch.size(), 8U);
+  EXPECT_EQ(queue.depth(), 0U);
+  queue.shutdown();
+  EXPECT_FALSE(queue.pop_batch(batch));
+  EXPECT_TRUE(batch.empty());
+}
+
 TEST(ServeQueue, ShutdownRaceLosesNoAcceptedRequest) {
   FaultGuard guard;
   // A third of the pushes stall inside push() so shutdown() lands between
@@ -483,7 +545,6 @@ TEST(ServeQueue, ShutdownRaceLosesNoAcceptedRequest) {
   util::FaultInjector::instance().configure("queue.push=0.3:1", 11);
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_delay = std::chrono::microseconds(200);
   BatchQueue queue(policy);
 
   std::atomic<std::size_t> accepted{0};
