@@ -1,7 +1,7 @@
 // Accuracy/speed sweep for the quantized decode kernels (DESIGN.md §10).
 //
 // Trains an order-2 CRF on the synthetic BC2GM corpus, pre-encodes the test
-// split, then sweeps the emission storage — float, int16, int8 — measuring
+// split, then sweeps the emission storage — float, int8 — measuring
 // each configuration against the exact kernels with the repo's interleaved
 // convention (alternating runs, median of each, so clock drift and cache
 // warmth hit both sides equally). For every configuration it reports:
@@ -133,13 +133,12 @@ int main(int argc, char** argv) {
             << (total_tokens ? total_active_features / total_tokens : 0)
             << " features/token\n";
 
-  // Quantized tables built once up front so per-call overrides may use them.
-  model.prepare_quantization(crf::Quantization::kInt16);
+  // The quantized table is built once up front so per-call overrides may
+  // use it.
   model.prepare_quantization(crf::Quantization::kInt8);
 
   std::vector<SweepConfig> configs;
-  for (const auto quant : {crf::Quantization::kFloat, crf::Quantization::kInt16,
-                           crf::Quantization::kInt8}) {
+  for (const auto quant : {crf::Quantization::kFloat, crf::Quantization::kInt8}) {
     crf::DecodeOptions options;
     options.quantization = quant;
     configs.push_back({crf::quantization_name(quant), options});

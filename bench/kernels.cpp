@@ -114,7 +114,7 @@ void BM_Viterbi(benchmark::State& state) {
 BENCHMARK(BM_Viterbi)->Arg(1)->Arg(2);
 
 /// Quantized-emission Viterbi on the order-2 space: Arg is the
-/// Quantization (1 = int16, 2 = int8).
+/// Quantization (2 = int8).
 void BM_ViterbiQuantized(benchmark::State& state) {
   util::Rng rng(2);  // same seed as BM_Viterbi: directly comparable numbers
   const auto space = crf::StateSpace::order2();
@@ -138,7 +138,7 @@ void BM_ViterbiQuantized(benchmark::State& state) {
   record_percentiles(state, samples_us);
   state.SetLabel(crf::quantization_name(options.quantization));
 }
-BENCHMARK(BM_ViterbiQuantized)->Arg(1)->Arg(2);
+BENCHMARK(BM_ViterbiQuantized)->Arg(2);
 
 void BM_CrfGradient(benchmark::State& state) {
   util::Rng rng(3);

@@ -29,7 +29,7 @@
 #include "bench/bench_common.hpp"
 #include "src/crf/trainer.hpp"
 #include "src/embeddings/brown.hpp"
-#include "src/embeddings/brown_reference.hpp"
+#include "tests/support/brown_reference.hpp"
 #include "src/embeddings/word2vec.hpp"
 #include "src/features/encoder.hpp"
 #include "src/features/extractor.hpp"

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   auto metrics_format = cli.flag<std::string>(
       "metrics-format", "json", "with --metrics: json | tsv | prom");
   auto quantized = cli.flag<std::string>(
-      "quantized", "", "server-side emission quantization: off | int16 | int8");
+      "quantized", "", "server-side emission quantization: off | int8");
   cli.parse(argc, argv);
 
   // Connection-scoped decode override, sent as a "#DECODE" control line

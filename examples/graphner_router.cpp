@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
       "drift past this quarantines the batch");
   auto health_probe_ms = cli.flag<long>(
       "health-probe-ms", 0,
-      "replica health supervisor probe interval (0 = supervisor off)");
+      "health probe interval of every tenant's replica pool (0 = off)");
   auto health_deadline_ms = cli.flag<long>(
       "health-probe-deadline-ms", 250, "deadline for each sentinel probe");
   auto health_failures = cli.flag<std::size_t>(
@@ -234,11 +234,11 @@ int main(int argc, char** argv) {
     router_config.learn_max_file_bytes = *learn_max_file_bytes;
     router_config.canary_max_disagreement = *canary_max_disagreement;
     if (!canary->empty()) router_config.canary = read_sentence_lines(*canary);
-    router_config.health_probe_interval =
+    router_config.health.probe_interval =
         std::chrono::milliseconds(*health_probe_ms);
-    router_config.health_probe_deadline =
+    router_config.health.probe_deadline =
         std::chrono::milliseconds(*health_deadline_ms);
-    router_config.health_failure_threshold = *health_failures;
+    router_config.health.failure_threshold = *health_failures;
     router_config.tenant_replicas = *tenant_replicas;
     router::Router router(model, router_config);
 

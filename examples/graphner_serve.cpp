@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       "metrics-dump-every", 0,
       "dump the Prometheus metrics snapshot to stderr every N seconds (0 = off)");
   auto quantized = cli.flag<std::string>(
-      "quantized", "off", "emission weight storage: off | int16 | int8");
+      "quantized", "off", "emission weight storage: off | int8");
   cli.parse(argc, argv);
 
   try {

@@ -72,7 +72,7 @@ int cmd_tag(int argc, char** argv) {
       "metrics-json", "",
       "after the run, write the metric registry + trace spans here as JSON");
   auto quantized = cli.flag<std::string>(
-      "quantized", "off", "emission weight storage: off | int16 | int8");
+      "quantized", "off", "emission weight storage: off | int8");
   cli.parse(argc, argv);
 
   const auto data = corpus::load_corpus(*dir);

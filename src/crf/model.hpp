@@ -92,7 +92,7 @@ class LinearChainCrf {
   void emission_scores(const EncodedSentence& sentence,
                        std::vector<double>& out) const;
   /// Emission lattice under a specific weight storage: kFloat runs the
-  /// exact kernel above (same scores, same summation order), int16/int8 the
+  /// exact kernel above (same scores, same summation order), int8 the
   /// dense pass over the prepared quantized table. Exposed so tests and
   /// benches can bound quantization drift at the score level; the decode
   /// entry points use it internally (src/crf/quantized.cpp).
@@ -117,14 +117,13 @@ class LinearChainCrf {
   [[nodiscard]] const DecodeOptions& decode_options() const noexcept {
     return decode_options_;
   }
-  /// Build (or rebuild) the int16/int8 emission table so per-call options
+  /// Build (or rebuild) the int8 emission table so per-call options
   /// may request that mode. kFloat drops the tables. Implied by
   /// set_decode_options when its options quantize.
   void prepare_quantization(Quantization mode);
   /// True when decode options/overrides asking for `mode` will actually use
   /// it (the table has been prepared).
   [[nodiscard]] bool quantization_ready(Quantization mode) const noexcept {
-    if (mode == Quantization::kInt16) return !quant16_.empty();
     if (mode == Quantization::kInt8) return !quant8_.empty();
     return true;
   }
@@ -233,8 +232,6 @@ class LinearChainCrf {
   DecodeOptions decode_options_{};
   // Quantized emission tables (num_features x S, feature-row scales beside
   // them); empty until prepare_quantization() builds them.
-  std::vector<std::int16_t> quant16_;
-  std::vector<float> quant_scale16_;
   std::vector<std::int8_t> quant8_;
   std::vector<float> quant_scale8_;
   double quant_drift_ = 0.0;

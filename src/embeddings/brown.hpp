@@ -17,8 +17,8 @@
 // since the last merge). The candidate scans run under
 // util::parallel_reduce. The greedy merge sequence is bit-for-bit the one
 // the original dense-matrix implementation produced; that implementation
-// is frozen in brown_reference.{hpp,cpp} and the equivalence is enforced
-// by tests/test_train_kernels.cpp.
+// is frozen in tests/support/brown_reference.{hpp,cpp} (the test-support
+// library) and the equivalence is enforced by tests/test_train_kernels.cpp.
 //
 // Training cost is O(V * C^2) merge-loss term evaluations over an
 // L1-resident window; the vocabulary cap exists to bound the number of

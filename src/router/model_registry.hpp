@@ -1,14 +1,13 @@
 // ModelRegistry: named resident models — the tenant dimension (§14).
 //
-// The registry maps wire model names onto serving state: each tenant owns
-// the resident model generation, its own replica set + consistent-hash
-// ring, a token-bucket quota, and per-tenant counters. The *default*
-// tenant is special — it aliases the router's original replica set (the
-// one "#REPLICA kill/revive/swap <i>", the health supervisor and the
-// online-learning path operate on), so every pre-tenancy behaviour is
-// byte-identical for clients that never name a model. Added tenants
-// ("#REPLICA model add <name> <path>") get their own InProcessReplica
-// pool, sized RouterConfig::tenant_replicas.
+// The registry maps wire model names onto Tenants, the one unit of serving
+// state: model generation, replica pool + ring, per-replica breakers,
+// health supervisor, quota, counters and (learning tier's default tenant
+// only) the learn journal. Every tenant is built by the same add(): the
+// Router adds "default" — what bare requests resolve to, and the one
+// tenant that cannot be dropped — and "#REPLICA model add" the rest. The
+// default pool's replicas scrape as "replica.<i>.*", the others' as
+// "tenant.<name>.replica.<i>.*".
 //
 // Concurrency: the map is mutated only by rare admin verbs; the hot
 // submit path takes the registry mutex once to copy a shared_ptr<Tenant>.
@@ -19,6 +18,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,7 +30,9 @@
 #include "src/obs/registry.hpp"
 #include "src/obs/token_bucket.hpp"
 #include "src/router/hash_ring.hpp"
+#include "src/router/learn_log.hpp"
 #include "src/router/replica.hpp"
+#include "src/router/supervisor.hpp"
 #include "src/serve/service.hpp"
 
 namespace graphner::router {
@@ -48,64 +51,90 @@ struct TenantMetrics {
   TenantMetrics(obs::Registry& registry, const std::string& tenant);
 };
 
-/// One resident model and everything that serves it.
+/// One learned generation: the learn sequence that produced it and the
+/// model swapped into the pool.
+struct Generation {
+  std::uint64_t seq = 0;
+  std::shared_ptr<const core::GraphNerModel> model;
+};
+
+/// One resident model and everything that serves it. Members are
+/// destroyed in reverse order: the supervisor before what it probes.
 struct Tenant {
   std::string name;
-  /// True for the registry's default tenant, whose replicas/ring live on
-  /// the Router itself (see file comment); `replicas`/`ring` stay empty.
-  bool is_default = false;
-  std::shared_ptr<const core::GraphNerModel> model;  ///< null for default
+  /// "replica." or "tenant.<name>.replica." (the index and '.' follow).
+  std::string metric_prefix;
+  /// What the pool serves since the last pool-wide swap. Written only
+  /// under the Router's swap mutex; the request path never reads it.
+  std::shared_ptr<const core::GraphNerModel> model;
   std::vector<std::unique_ptr<ReplicaHandle>> replicas;
-  std::unique_ptr<HashRing> ring;
+  HashRing ring;
+  BreakerBoard breakers;
+  /// Null when probing is off (SupervisorConfig::probe_interval == 0).
+  std::unique_ptr<HealthSupervisor> supervisor;
+  /// Non-null only on a learning tier's default tenant, whose model then
+  /// changes only through "#REPLICA learn"; generations.back() is what the
+  /// pool serves, the rest back rollback.
+  std::unique_ptr<LearnLog> learn;
+  std::deque<Generation> generations;
   obs::TokenBucket quota;
   TenantMetrics metrics;
 
-  Tenant(std::string tenant_name, bool tenant_is_default,
-         obs::Registry& registry)
-      : name(std::move(tenant_name)),
-        is_default(tenant_is_default),
-        metrics(registry, name) {}
+  /// Starts `pool_size` (at least one) InProcessReplicas over the model
+  /// and, when `health.probe_interval` > 0, the pool's health supervisor.
+  Tenant(std::string tenant_name, std::string replica_prefix,
+         std::shared_ptr<const core::GraphNerModel> tenant_model,
+         std::size_t pool_size, const serve::ServiceConfig& service,
+         std::size_t vnodes, const SupervisorConfig& health,
+         obs::Registry& registry);
+
+  /// Stop the supervisor, then drain and join every replica. Idempotent.
+  void stop();
 };
 
 class ModelRegistry {
  public:
-  /// Registers the default tenant immediately. `registry` must outlive
-  /// the ModelRegistry (it owns every tenant's instruments).
-  explicit ModelRegistry(obs::Registry& registry);
+  /// Every tenant's replicas run `service`, hash onto `vnodes` ring points
+  /// each and are probed per `health`. `registry` must outlive the
+  /// ModelRegistry (it owns every tenant's instruments).
+  ModelRegistry(obs::Registry& registry, serve::ServiceConfig service,
+                std::size_t vnodes, SupervisorConfig health);
 
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// Resolve a wire selector: "" and "default" both land on the default
-  /// tenant (the bare-request alias); anything else must be resident.
-  /// nullptr = unknown model.
+  /// tenant; anything else must be resident. nullptr = unknown model.
   [[nodiscard]] std::shared_ptr<Tenant> resolve(const std::string& name) const;
 
+  /// The tenant bare requests resolve to (null before the Router adds it).
   [[nodiscard]] std::shared_ptr<Tenant> default_tenant() const {
     return resolve({});
   }
 
-  /// Register `model` under `name` with its own replica pool (`replicas`
-  /// InProcessReplicas over `service`) and ring. Throws
-  /// std::invalid_argument on an invalid or already-resident name.
+  /// Register `model` under `name` with its own replica pool, ring,
+  /// breakers and supervisor. Throws std::invalid_argument on an invalid
+  /// or already-resident name.
   std::shared_ptr<Tenant> add(const std::string& name,
                               std::shared_ptr<const core::GraphNerModel> model,
-                              std::size_t replicas,
-                              const serve::ServiceConfig& service,
-                              std::size_t vnodes);
+                              std::size_t replicas);
 
   /// Unregister `name` and return its tenant for teardown (the caller
-  /// stops the replicas and sweeps the cache outside the registry lock).
-  /// nullptr when absent; the default tenant cannot be removed.
+  /// stops it and sweeps the cache outside the registry lock). nullptr
+  /// when absent; the default tenant cannot be removed.
   std::shared_ptr<Tenant> remove(const std::string& name);
 
-  /// Every resident tenant, sorted by name (default first).
+  /// Every resident tenant, sorted by name with the default first.
   [[nodiscard]] std::vector<std::shared_ptr<Tenant>> list() const;
 
-  [[nodiscard]] std::size_t size() const;
+  /// The wire name of the default tenant.
+  static constexpr const char* kDefault = "default";
 
  private:
   obs::Registry& registry_;
+  serve::ServiceConfig service_;
+  std::size_t vnodes_;
+  SupervisorConfig health_;
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Tenant>> tenants_;
 };

@@ -33,58 +33,64 @@ namespace {
   return base_key + '\x1e' + fingerprint_hex(fingerprint);
 }
 
+/// Fail-static: with every breaker of a tenant open, its breakers are
+/// ignored and the tenant routes on health alone.
+[[nodiscard]] bool all_breakers_open(const Tenant& tenant) noexcept {
+  return tenant.breakers.open_count() >= tenant.replicas.size();
+}
+
+/// The reply to a swap verb aimed at a learning tenant: its model moves
+/// only through "#REPLICA learn", whose generations, canary and rollback
+/// all assume the pool serves the learner's newest fork.
+[[nodiscard]] std::string learning_tenant_refusal(const std::string& verb,
+                                                  const Tenant& tenant) {
+  return "ERROR #REPLICA " + verb + ": model \"" + tenant.name +
+         "\" is learning online and changes only through #REPLICA learn\n";
+}
+
 }  // namespace
 
 Router::Router(std::shared_ptr<const core::GraphNerModel> model,
                RouterConfig config)
     : config_(config),
-      models_(registry_),
+      models_(registry_, config.replica_service, config.vnodes, config.health),
       cache_(config.cache, registry_),
-      ring_(std::max<std::size_t>(1, config.replicas), config.vnodes),
       requests_(registry_.counter("router.requests")),
       failovers_(registry_.counter("router.failovers")),
       unavailable_(registry_.counter("router.unavailable")),
       swaps_(registry_.counter("router.swaps")),
       cache_misses_(registry_.counter("cache.misses")),
       unknown_model_(registry_.counter("router.unknown_model")),
-      quota_rejected_(registry_.counter("router.quota_rejected")),
-      breakers_(std::max<std::size_t>(1, config.replicas)) {
-  const std::size_t n = std::max<std::size_t>(1, config.replicas);
+      quota_rejected_(registry_.counter("router.quota_rejected")) {
   std::shared_ptr<const core::GraphNerModel> serving = model;
+  std::unique_ptr<LearnLog> learn;
   if (config.learn_enabled) {
     // Recover the durable learned state (snapshot + WAL replay) before
     // any replica starts: committed batches survive a crash, so the tier
     // resumes serving exactly the generation it last swapped.
-    learn_log_ = std::make_unique<LearnLog>(
+    learn = std::make_unique<LearnLog>(
         LearnLogConfig{config.learn_wal_dir, config.learn_snapshot_every},
         model, config.learn, registry_);
-    if (learn_log_->learner().vertex_count() > 0)
-      serving = learn_log_->learner().snapshot_model();
-    generations_.push_back({learn_log_->last_seq(), serving});
+    if (learn->learner().vertex_count() > 0)
+      serving = learn->learner().snapshot_model();
   }
-  replicas_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    replicas_.push_back(
-        std::make_unique<InProcessReplica>(serving, config.replica_service));
-  if (config.health_probe_interval.count() > 0) {
-    SupervisorConfig probe;
-    probe.probe_interval = config.health_probe_interval;
-    probe.probe_deadline = config.health_probe_deadline;
-    probe.failure_threshold = config.health_failure_threshold;
-    probe.revive_backoff = config.health_revive_backoff;
-    supervisor_ = std::make_unique<HealthSupervisor>(probe, replicas_,
-                                                     breakers_, registry_);
+  const std::shared_ptr<Tenant> tenant =
+      models_.add(ModelRegistry::kDefault, serving, config.replicas);
+  if (learn) {
+    tenant->generations.push_back({learn->last_seq(), serving});
+    tenant->learn = std::move(learn);
   }
-  registry_.gauge("router.replicas").set(static_cast<double>(n));
+  registry_.gauge("router.replicas")
+      .set(static_cast<double>(tenant->replicas.size()));
   registry_.gauge("router.cache_enabled")
       .set(config.cache_enabled ? 1.0 : 0.0);
-  util::log_info("router: ", n, " replica(s), cache ",
+  util::log_info("router: ", tenant->replicas.size(), " replica(s), cache ",
                  config.cache_enabled
                      ? "on (" + std::to_string(cache_.capacity()) + " entries)"
                      : "off",
                  ", model fingerprint ",
                  fingerprint_hex(serving->fingerprint()),
-                 supervisor_ ? ", health supervisor on" : "");
+                 tenant->supervisor ? ", health supervisor on" : "");
 }
 
 Router::~Router() { stop(); }
@@ -118,8 +124,8 @@ std::future<serve::TagResponse> Router::submit(text::Sentence sentence,
   // through options.key; derive it only for direct API callers.
   if (options.key.empty())
     options.key = serve::sentence_key(sentence.tokens);
-  auto& pool = pool_of(*tenant);
-  std::vector<std::size_t> order = ring_of(*tenant).order(options.key);
+  auto& pool = tenant->replicas;
+  std::vector<std::size_t> order = tenant->ring.order(options.key);
 
   // The tenant name joins the cache identity so two tenants can never
   // observe each other's entries, even under fingerprint collision.
@@ -134,13 +140,14 @@ std::future<serve::TagResponse> Router::submit(text::Sentence sentence,
   // the conservation law CI checks — so the disabled/unroutable paths
   // count a miss explicitly instead of skipping the ledger.
   // Open circuit breakers route a replica out exactly like bad health —
-  // unless every breaker is open (fail-static; see routable()).
-  const bool ignore_breakers = all_breakers_open();
+  // unless every breaker of the tenant is open (fail-static; see
+  // routable()).
+  const bool ignore_breakers = all_breakers_open(*tenant);
 
   bool counted = false;
   if (config_.cache_enabled) {
     for (const std::size_t idx : order) {
-      if (!routable_in(*tenant, idx, ignore_breakers)) continue;
+      if (!routable(*tenant, idx, ignore_breakers)) continue;
       counted = true;
       if (auto hit = cache_.get(cache_key(base_key, pool[idx]->fingerprint()))) {
         tenant->metrics.cache_hits.inc();
@@ -163,7 +170,7 @@ std::future<serve::TagResponse> Router::submit(text::Sentence sentence,
   std::size_t used = order.size();
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::size_t idx = order[i];
-    if (!routable_in(*tenant, idx, ignore_breakers)) continue;
+    if (!routable(*tenant, idx, ignore_breakers)) continue;
     primary = pool[idx]->submit(sentence, options);
     if (primary.accepted) {
       used = idx;
@@ -195,7 +202,7 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
                                    serve::SubmitOptions options,
                                    std::string base_key,
                                    std::shared_ptr<Tenant> tenant) {
-  auto& pool = pool_of(*tenant);
+  auto& pool = tenant->replicas;
   serve::TagResponse response = primary.future.get();
   std::uint64_t fingerprint = primary.fingerprint;
 
@@ -207,10 +214,10 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
     std::size_t last_failed = used;
     for (;;) {
       bool attempted = false;
-      const bool ignore_breakers = all_breakers_open();
+      const bool ignore_breakers = all_breakers_open(*tenant);
       for (const std::size_t idx : order) {
         if (idx == last_failed) continue;
-        if (!routable_in(*tenant, idx, ignore_breakers)) continue;
+        if (!routable(*tenant, idx, ignore_breakers)) continue;
         // The resubmit reuses options verbatim — including the
         // ingestion-time sentence key — so failover never re-normalizes.
         ReplicaSubmission retry_sub = pool[idx]->submit(sentence, options);
@@ -245,16 +252,18 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
 obs::RegistrySnapshot Router::observability_snapshot() const {
   obs::RegistrySnapshot out;
   out.append(registry_.snapshot());  // router.* + cache.* + tenant.*
-  for (std::size_t i = 0; i < replicas_.size(); ++i)
-    out.append(replicas_[i]->metrics_snapshot(),
-               "replica." + std::to_string(i) + ".");
+  std::size_t open_breakers = 0;
   for (const auto& tenant : models_.list()) {
-    if (tenant->is_default) continue;  // its pool IS replica.<i> above
     for (std::size_t i = 0; i < tenant->replicas.size(); ++i)
       out.append(tenant->replicas[i]->metrics_snapshot(),
-                 "tenant." + tenant->name + ".replica." + std::to_string(i) +
-                     ".");
+                 tenant->metric_prefix + std::to_string(i) + ".");
+    open_breakers += tenant->breakers.open_count();
   }
+  // One gauge over every tenant's breakers, read at scrape time (each
+  // supervisor setting it after its own sweep would be last-writer-wins).
+  if (config_.health.probe_interval.count() > 0)
+    out.gauges.push_back({"router.health.open_breakers", {},
+                          static_cast<double>(open_breakers)});
   out.append(obs::Registry::global().snapshot());
   for (const auto& [name, stats] : util::FaultInjector::instance().all_stats()) {
     out.counters.push_back({"fault." + name + ".calls", {}, stats.calls});
@@ -267,16 +276,19 @@ std::string Router::admin(const std::string& command) {
   std::istringstream in(command);
   std::string verb;
   in >> verb;
+  // The replica lifecycle verbs address the default tenant's pool.
+  const std::shared_ptr<Tenant> tenant = models_.default_tenant();
+  auto& pool = tenant->replicas;
 
   if (verb == "status") {
     std::ostringstream out;
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      const obs::RegistrySnapshot snapshot = replicas_[i]->metrics_snapshot();
-      out << i << '\t' << (replicas_[i]->healthy() ? "healthy" : "down")
-          << "\tfingerprint=" << fingerprint_hex(replicas_[i]->fingerprint())
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const obs::RegistrySnapshot snapshot = pool[i]->metrics_snapshot();
+      out << i << '\t' << (pool[i]->healthy() ? "healthy" : "down")
+          << "\tfingerprint=" << fingerprint_hex(pool[i]->fingerprint())
           << "\tsubmitted=" << snapshot.counter_value("submitted")
           << "\tcompleted=" << snapshot.counter_value("completed")
-          << "\tbreaker=" << (breakers_.is_open(i) ? "open" : "closed")
+          << "\tbreaker=" << (tenant->breakers.is_open(i) ? "open" : "closed")
           << '\n';
     }
     out << "cache\t" << (config_.cache_enabled ? "on" : "off") << "\tentries="
@@ -286,22 +298,23 @@ std::string Router::admin(const std::string& command) {
 
   std::size_t index = 0;
   if (verb == "kill" || verb == "revive" || verb == "swap") {
-    if (!(in >> index) || index >= replicas_.size())
+    if (!(in >> index) || index >= pool.size())
       return "ERROR #REPLICA " + verb + " needs a replica index in [0, " +
-             std::to_string(replicas_.size()) + ")\n";
+             std::to_string(pool.size()) + ")\n";
   }
 
   if (verb == "kill") {
-    replicas_[index]->kill();
+    pool[index]->kill();
     return "OK killed replica " + std::to_string(index) + "\n";
   }
   if (verb == "revive") {
-    replicas_[index]->revive();
+    pool[index]->revive();
     return "OK revived replica " + std::to_string(index) + "\n";
   }
   if (verb == "swap") {
     std::string path;
     if (!(in >> path)) return "ERROR #REPLICA swap needs a model path\n";
+    if (tenant->learn) return learning_tenant_refusal("swap", *tenant);
     std::shared_ptr<const core::GraphNerModel> model;
     try {
       model = std::make_shared<core::GraphNerModel>(
@@ -309,17 +322,17 @@ std::string Router::admin(const std::string& command) {
     } catch (const std::exception& e) {
       return "ERROR swap failed: " + std::string(e.what()) + "\n";
     }
-    // Same mutex as the learn path: a concurrent swap-all must not observe
-    // (or be observed by) a half-applied single-replica swap.
+    // Same mutex as the pool-wide swaps: a concurrent swap-all must not
+    // observe (or be observed by) a half-applied single-replica swap.
     std::lock_guard<std::mutex> lock(swap_mutex_);
-    const std::uint64_t old_fingerprint = replicas_[index]->fingerprint();
-    replicas_[index]->swap_model(model);
+    const std::uint64_t old_fingerprint = pool[index]->fingerprint();
+    pool[index]->swap_model(model);
     swaps_.inc();
     // A cache generation nobody serves anymore can only produce stale
     // tags on a fingerprint collision after a swap-back; drop it. A
     // generation some *other* replica still runs stays valid.
     bool generation_live = false;
-    for (const auto& replica : replicas_)
+    for (const auto& replica : pool)
       if (replica->healthy() && replica->fingerprint() == old_fingerprint)
         generation_live = true;
     std::size_t invalidated = 0;
@@ -346,15 +359,14 @@ std::string Router::admin_model(std::istringstream& in) {
   if (sub == "list") {
     std::ostringstream out;
     for (const auto& tenant : models_.list()) {
-      auto& pool = pool_of(*tenant);
       std::size_t healthy = 0;
-      for (const auto& replica : pool)
+      for (const auto& replica : tenant->replicas)
         if (replica->healthy()) ++healthy;
-      const std::uint64_t fp = pool.empty() ? 0 : pool[0]->fingerprint();
       out << tenant->name << '\t'
-          << (tenant->is_default ? "default" : "added")
-          << "\treplicas=" << healthy << '/' << pool.size()
-          << "\tfingerprint=" << fingerprint_hex(fp) << "\tquota=";
+          << (tenant->name == ModelRegistry::kDefault ? "default" : "added")
+          << "\treplicas=" << healthy << '/' << tenant->replicas.size()
+          << "\tfingerprint="
+          << fingerprint_hex(tenant->replicas[0]->fingerprint()) << "\tquota=";
       if (tenant->quota.limited()) {
         const auto [rate, burst] = tenant->quota.shape();
         out << rate << '/' << burst;
@@ -370,6 +382,14 @@ std::string Router::admin_model(std::istringstream& in) {
     std::string name, path;
     if (!(in >> name >> path))
       return "ERROR #REPLICA model " + sub + " needs <name> <model-path>\n";
+    std::shared_ptr<Tenant> tenant;
+    if (sub == "swap") {
+      tenant = models_.resolve(name);
+      if (!tenant)
+        return "ERROR model \"" + name +
+               "\" is not resident (use model add first)\n";
+      if (tenant->learn) return learning_tenant_refusal("model swap", *tenant);
+    }
     std::shared_ptr<const core::GraphNerModel> model;
     try {
       model = std::make_shared<core::GraphNerModel>(
@@ -380,8 +400,7 @@ std::string Router::admin_model(std::istringstream& in) {
 
     if (sub == "add") {
       try {
-        models_.add(name, model, config_.tenant_replicas,
-                    config_.replica_service, config_.vnodes);
+        models_.add(name, model, config_.tenant_replicas);
       } catch (const std::exception& e) {
         return "ERROR model add failed: " + std::string(e.what()) + "\n";
       }
@@ -391,13 +410,8 @@ std::string Router::admin_model(std::istringstream& in) {
              " replica(s))\n";
     }
 
-    std::shared_ptr<Tenant> tenant = models_.resolve(name);
-    if (!tenant)
-      return "ERROR model \"" + name +
-             "\" is not resident (use model add first)\n";
     std::lock_guard<std::mutex> lock(swap_mutex_);
-    const std::size_t invalidated = swap_pool(pool_of(*tenant), model);
-    if (!tenant->is_default) tenant->model = model;
+    const std::size_t invalidated = swap_pool(*tenant, model);
     return "OK swapped model " + tenant->name + " to " + path +
            " (fingerprint " + fingerprint_hex(model->fingerprint()) +
            ", invalidated " + std::to_string(invalidated) +
@@ -411,16 +425,18 @@ std::string Router::admin_model(std::istringstream& in) {
     if (!tenant)
       return "ERROR model \"" + name +
              "\" is not droppable (not resident, or the default model)\n";
-    // New requests can no longer resolve the name; drain the pool so every
-    // in-flight future settles, then drop the dead generation's cache
-    // entries (tenant-scoped keys — no other tenant is touched).
+    // New requests can no longer resolve the name; stop the supervisor,
+    // drain the pool so every in-flight future settles, then drop the dead
+    // generations' cache entries (tenant-scoped keys — no other tenant is
+    // touched).
     std::lock_guard<std::mutex> lock(swap_mutex_);
+    std::vector<std::uint64_t> fingerprints;
+    for (const auto& replica : tenant->replicas)
+      fingerprints.push_back(replica->fingerprint());
+    tenant->stop();
     std::size_t invalidated = 0;
-    for (auto& replica : tenant->replicas) {
-      const std::uint64_t fp = replica->fingerprint();
-      replica->stop();
+    for (const std::uint64_t fp : fingerprints)
       invalidated += cache_.invalidate_fingerprint(fp);
-    }
     return "OK dropped model " + name + " (invalidated " +
            std::to_string(invalidated) + " cache entries)\n";
   }
@@ -457,50 +473,52 @@ std::string Router::admin_quota(std::istringstream& in) {
 
 void Router::add_model(const std::string& name,
                        std::shared_ptr<const core::GraphNerModel> model) {
-  models_.add(name, std::move(model), config_.tenant_replicas,
-              config_.replica_service, config_.vnodes);
+  models_.add(name, std::move(model), config_.tenant_replicas);
 }
 
 std::string Router::admin_learn(std::istringstream& in) {
-  if (!learn_log_)
+  const std::shared_ptr<Tenant> tenant = models_.default_tenant();
+  if (!tenant->learn)
     return "ERROR learning disabled (start the router with --learn)\n";
+  LearnLog& log = *tenant->learn;
+  std::deque<Generation>& generations = tenant->generations;
   std::string mode;
   in >> mode;
 
   if (mode == "status") {
     std::lock_guard<std::mutex> lock(swap_mutex_);
-    const core::OnlineLearner& learner = learn_log_->learner();
+    const core::OnlineLearner& learner = log.learner();
     std::ostringstream out;
     out << "learn\tvertices=" << learner.vertex_count()
         << "\tedges=" << learner.edge_count() << "\tbase_fingerprint="
         << fingerprint_hex(learner.base().fingerprint()) << '\n';
-    out << "wal\t" << (learn_log_->durable() ? "on" : "off")
-        << "\tseq=" << learn_log_->last_seq()
-        << "\tbytes=" << learn_log_->wal_bytes()
-        << "\trecords=" << learn_log_->wal_records()
-        << "\tsnapshot_seq=" << learn_log_->snapshot_seq()
+    out << "wal\t" << (log.durable() ? "on" : "off")
+        << "\tseq=" << log.last_seq()
+        << "\tbytes=" << log.wal_bytes()
+        << "\trecords=" << log.wal_records()
+        << "\tsnapshot_seq=" << log.snapshot_seq()
         << "\tsnapshot_fingerprint="
-        << fingerprint_hex(learn_log_->snapshot_fingerprint())
-        << "\tquarantined=" << learn_log_->quarantined_total() << '\n';
-    out << "generation\tcurrent=" << generations_.back().seq << ':'
-        << fingerprint_hex(generations_.back().model->fingerprint());
-    if (generations_.size() >= 2) {
-      const Generation& previous = generations_[generations_.size() - 2];
+        << fingerprint_hex(log.snapshot_fingerprint())
+        << "\tquarantined=" << log.quarantined_total() << '\n';
+    out << "generation\tcurrent=" << generations.back().seq << ':'
+        << fingerprint_hex(generations.back().model->fingerprint());
+    if (generations.size() >= 2) {
+      const Generation& previous = generations[generations.size() - 2];
       out << "\tprevious=" << previous.seq << ':'
           << fingerprint_hex(previous.model->fingerprint());
     } else {
       out << "\tprevious=none";
     }
-    out << "\tretained=" << generations_.size() << '\n';
+    out << "\tretained=" << generations.size() << '\n';
     return out.str();
   }
 
   if (mode == "rollback") {
     std::lock_guard<std::mutex> lock(swap_mutex_);
-    if (generations_.size() < 2)
+    if (generations.size() < 2)
       return "ERROR rollback: no previous generation retained\n";
-    const Generation bad = generations_.back();
-    if (learn_log_->snapshot_seq() >= bad.seq)
+    const Generation bad = generations.back();
+    if (log.snapshot_seq() >= bad.seq)
       return "ERROR rollback: generation " + std::to_string(bad.seq) +
              " is already folded into the snapshot and cannot be rolled "
              "back\n";
@@ -509,15 +527,15 @@ std::string Router::admin_learn(std::istringstream& in) {
     // rebuild the learner without it, then swap the previous generation
     // back tier-wide through the usual cache-invalidation sweep.
     try {
-      learn_log_->quarantine(bad.seq, "rollback");
+      log.quarantine(bad.seq, "rollback");
     } catch (const std::exception& e) {
       return "ERROR rollback: could not journal the quarantine (" +
              std::string(e.what()) + "); nothing rolled back\n";
     }
-    learn_log_->rebuild();
-    generations_.pop_back();
-    const Generation& restored = generations_.back();
-    const std::size_t invalidated = swap_all_replicas(restored.model);
+    log.rebuild();
+    generations.pop_back();
+    const Generation& restored = generations.back();
+    const std::size_t invalidated = swap_pool(*tenant, restored.model);
     return "OK rolled back: quarantined seq " + std::to_string(bad.seq) +
            ", restored generation " + std::to_string(restored.seq) +
            " (fingerprint " + fingerprint_hex(restored.model->fingerprint()) +
@@ -558,7 +576,7 @@ std::string Router::admin_learn(std::istringstream& in) {
            "\" (expected text, file, status or rollback)\n";
   }
 
-  // Learn, gate, journal, then hot-swap the fork into the whole tier —
+  // Learn, gate, journal, then hot-swap the fork into the whole pool —
   // atomically with respect to other learns (submits keep flowing — each
   // replica swap is itself atomic and the cache is generation-keyed).
   // Order matters: the batch is only *committed* (WAL record appended)
@@ -568,31 +586,30 @@ std::string Router::admin_learn(std::istringstream& in) {
   core::LearnStats stats;
   std::shared_ptr<const core::GraphNerModel> fork;
   try {
-    stats = learn_log_->learner().learn(batch);
-    fork = learn_log_->learner().snapshot_model();
+    stats = log.learner().learn(batch);
+    fork = log.learner().snapshot_model();
   } catch (const std::exception& e) {
-    learn_log_->rebuild();  // the learner may be half-mutated
+    log.rebuild();  // the learner may be half-mutated
     return "ERROR learn failed: " + std::string(e.what()) + "\n";
   }
 
   if (!config_.canary.empty()) {
-    const double disagreement =
-        canary_disagreement(*generations_.back().model, *fork);
+    const double disagreement = canary_disagreement(*tenant->model, *fork);
     registry_.counter("learn.canary.checks").inc();
     registry_.gauge("learn.canary.disagreement").set(disagreement);
     if (disagreement > config_.canary_max_disagreement) {
       registry_.counter("learn.canary.quarantined").inc();
-      const std::uint64_t seq = learn_log_->last_seq() + 1;
+      const std::uint64_t seq = log.last_seq() + 1;
       std::string note;
       try {
-        learn_log_->quarantine(seq, "canary disagreement " +
+        log.quarantine(seq, "canary disagreement " +
                                         std::to_string(disagreement));
       } catch (const std::exception& e) {
         // The batch was never committed, so replay is correct either way;
         // only the quarantine bookkeeping is lost.
         note = " (quarantine not journaled: " + std::string(e.what()) + ")";
       }
-      learn_log_->rebuild();
+      log.rebuild();
       std::ostringstream out;
       out << "ERROR learn rejected by canary gate: disagreement "
           << disagreement << " > " << config_.canary_max_disagreement
@@ -604,25 +621,25 @@ std::string Router::admin_learn(std::istringstream& in) {
 
   std::uint64_t seq = 0;
   try {
-    seq = learn_log_->commit(batch);
+    seq = log.commit(batch);
   } catch (const std::exception& e) {
     // The record is not durable — the learner must not keep state a
     // restart would lose. Rebuild back to the journaled prefix; nothing
     // swaps.
-    learn_log_->rebuild();
+    log.rebuild();
     return "ERROR learn commit failed (" + std::string(e.what()) +
            "); learned state rolled back, no replica swapped\n";
   }
 
-  const std::size_t invalidated = swap_all_replicas(fork);
-  generations_.push_back({seq, fork});
+  const std::size_t invalidated = swap_pool(*tenant, fork);
+  generations.push_back({seq, fork});
   const std::size_t keep = std::max<std::size_t>(2, config_.learn_generations);
-  while (generations_.size() > keep) generations_.pop_front();
+  while (generations.size() > keep) generations.pop_front();
 
   std::ostringstream out;
   out << "OK learned " << batch.size() << " sentence(s): +"
       << stats.appended_vertices << " vertices ("
-      << learn_log_->learner().vertex_count() << " total), "
+      << log.learner().vertex_count() << " total), "
       << stats.patched_vertices << " patched, " << stats.perturbed_vertices
       << " perturbed, " << stats.relaxations << " relaxations, residual "
       << stats.final_residual << (stats.converged ? "" : " (not converged)")
@@ -651,13 +668,12 @@ double Router::canary_disagreement(const core::GraphNerModel& current,
 }
 
 std::size_t Router::swap_pool(
-    std::vector<std::unique_ptr<ReplicaHandle>>& pool,
-    const std::shared_ptr<const core::GraphNerModel>& model) {
+    Tenant& tenant, std::shared_ptr<const core::GraphNerModel> model) {
   std::vector<std::uint64_t> old_fingerprints;
-  old_fingerprints.reserve(pool.size());
-  for (const auto& replica : pool)
+  old_fingerprints.reserve(tenant.replicas.size());
+  for (const auto& replica : tenant.replicas)
     old_fingerprints.push_back(replica->fingerprint());
-  for (auto& replica : pool) {
+  for (auto& replica : tenant.replicas) {
     replica->swap_model(model);
     swaps_.inc();
   }
@@ -672,23 +688,8 @@ std::size_t Router::swap_pool(
   for (const std::uint64_t old : old_fingerprints)
     if (old != model->fingerprint())
       invalidated += cache_.invalidate_fingerprint(old);
+  tenant.model = std::move(model);
   return invalidated;
-}
-
-std::size_t Router::swap_all_replicas(
-    const std::shared_ptr<const core::GraphNerModel>& model) {
-  return swap_pool(replicas_, model);
-}
-
-void Router::stop() {
-  std::lock_guard<std::mutex> lock(stop_mutex_);
-  if (stopped_) return;
-  stopped_ = true;
-  // The supervisor probes replicas; it must be gone before they drain.
-  if (supervisor_) supervisor_->stop();
-  for (auto& replica : replicas_) replica->stop();
-  for (const auto& tenant : models_.list())
-    for (auto& replica : tenant->replicas) replica->stop();
 }
 
 }  // namespace graphner::router

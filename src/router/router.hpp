@@ -14,42 +14,50 @@
 //      replica died mid-request, and inserts OK responses into the cache.
 //
 // Multi-tenancy (DESIGN.md §14): a ModelRegistry maps wire model names
-// onto resident models. The default tenant aliases the router's own
-// replica set — bare requests are byte-identical to the pre-tenancy tier —
-// while "#REPLICA model add|swap|drop|list <name> [<path>]" manages
-// additional resident models, each with its own replica pool and ring.
-// The cache identity gains the tenant dimension (sentence key + decode
-// options + model name + fingerprint), so tenants can never observe each
-// other's entries even under fingerprint collision. Per-tenant
-// token-bucket quotas ("#REPLICA quota <name> <rate> <burst>") bounce
-// over-quota requests with the structured QUOTA_EXCEEDED status before
-// they reach a replica; unknown selectors answer UNKNOWN_MODEL. Neither
-// counts into router.requests — the conservation laws below are over
-// admitted requests only.
+// onto Tenants, and every tenant — the default one included — owns its
+// replica pool, ring, circuit breakers, health supervisor, quota and
+// counters. The Router itself is admission + cache + tenant lookup +
+// failover. Bare requests resolve to the "default" tenant (the model the
+// Router was constructed with), so they are byte-identical to the
+// pre-tenancy tier, while "#REPLICA model add|swap|drop|list <name>
+// [<path>]" manages the others. The cache identity gains the tenant
+// dimension (sentence key + decode options + model name + fingerprint),
+// so tenants can never observe each other's entries even under
+// fingerprint collision. Per-tenant token-bucket quotas ("#REPLICA quota
+// <name> <rate> <burst>") bounce over-quota requests with the structured
+// QUOTA_EXCEEDED status before they reach a replica; unknown selectors
+// answer UNKNOWN_MODEL. Neither counts into router.requests — the
+// conservation laws below are over admitted requests only.
 //
 // Administration rides the wire as "#REPLICA kill|revive|swap|status"
-// (TagService::admin): kill/revive drive the chaos drill, swap hot-swaps
-// one replica's model from a file (text or mmap format, auto-sniffed) and
-// invalidates the cache generation no replica serves anymore. With
-// learn_enabled, "#REPLICA learn text|file|status|rollback" drives the
-// online-learning path: the batch is absorbed by an OnlineLearner
-// (incremental k-NN append + localized re-propagation, DESIGN.md §12),
-// gated by a canary decode, journaled to the learn WAL (LearnLog — crash
-// replay reaches byte-identical learned state, DESIGN.md §13), and only
-// then hot-swapped into every replica
-// through the same fingerprint/cache-invalidation machinery. rollback
+// (TagService::admin), addressing the default tenant's pool: kill/revive
+// drive the chaos drill, swap hot-swaps one replica's model from a file
+// (text or mmap format, auto-sniffed) and invalidates the cache
+// generation no replica serves anymore. With learn_enabled, "#REPLICA
+// learn text|file|status|rollback" drives the online-learning path of the
+// default tenant: the batch is absorbed by an OnlineLearner (incremental
+// k-NN append + localized re-propagation, DESIGN.md §12), gated by a
+// canary decode against what the pool serves, journaled to the learn WAL
+// (LearnLog — crash replay reaches byte-identical learned state, DESIGN.md
+// §13), and only then hot-swapped into every replica of the pool through
+// the same fingerprint/cache-invalidation machinery. rollback
 // retroactively quarantines the newest committed batch and restores the
-// previous generation tier-wide.
+// previous generation. A learning tenant changes model only through that
+// path: "swap <i>" and "model swap default" are refused on it.
 //
-// With health_probe_interval > 0 a HealthSupervisor probes every replica
-// with sentinel decodes; consecutive failures open a per-replica circuit
-// breaker that routes traffic around the replica until a half-open probe
-// (backed off, auto-reviving dead replicas) closes it again.
+// With health.probe_interval > 0 every tenant's HealthSupervisor probes
+// its pool with sentinel decodes; consecutive failures open a per-replica
+// circuit breaker that routes the tenant's traffic around the replica
+// until a half-open probe (backed off, auto-reviving dead replicas) closes
+// it again. Fail-static is judged per tenant: when every breaker of a
+// tenant is open, that tenant routes on health alone.
 //
-// Metrics: router.* and cache.* from the router's own registry, each
-// replica's counters under "replica.<i>." (monotone across kill/revive),
-// plus the process-global registry and fault counters — one scrape shows
-// the whole tier. Conservation laws CI asserts after a drain:
+// Metrics: router.*, cache.* and tenant.* from the router's own registry,
+// each replica's counters under its tenant's prefix — "replica.<i>." for
+// the default tenant, "tenant.<n>.replica.<i>." for the others (monotone
+// across kill/revive) — plus the process-global registry and fault
+// counters: one scrape shows the whole tier. Conservation laws CI asserts
+// after a drain, each one sum over tenants:
 //
 //   router.requests == cache.hits + cache.misses
 //   sum_i replica.<i>.submitted + sum_n,i tenant.<n>.replica.<i>.submitted ==
@@ -59,7 +67,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -69,7 +76,6 @@
 #include "src/graphner/learner.hpp"
 #include "src/graphner/pipeline.hpp"
 #include "src/obs/registry.hpp"
-#include "src/router/hash_ring.hpp"
 #include "src/router/learn_log.hpp"
 #include "src/router/lru_cache.hpp"
 #include "src/router/model_registry.hpp"
@@ -81,6 +87,7 @@
 namespace graphner::router {
 
 struct RouterConfig {
+  /// Replicas of the default tenant (the model the Router is built on).
   std::size_t replicas = 2;
   /// Worker pool / batching / deadline configuration of every replica.
   serve::ServiceConfig replica_service;
@@ -99,9 +106,9 @@ struct RouterConfig {
                                        2.0,
                                        0.2,
                                        3};
-  /// Enable the online "#REPLICA learn" path: the router keeps an
+  /// Enable the online "#REPLICA learn" path: the default tenant keeps an
   /// OnlineLearner over the initial model and hot-swaps learned forks into
-  /// every replica after each absorbed batch.
+  /// every replica of its pool after each absorbed batch.
   bool learn_enabled = false;
   core::OnlineLearnerConfig learn;
   /// Durable learning (DESIGN.md §13): directory for the learn WAL +
@@ -125,27 +132,17 @@ struct RouterConfig {
   /// Learned generations retained for "#REPLICA learn rollback" (min 2
   /// once a batch commits: current + previous).
   std::size_t learn_generations = 4;
-  /// Health supervisor probe interval; 0 (default) disables the
-  /// supervisor entirely — replica health stays manual (#REPLICA
-  /// kill/revive) exactly as before.
-  std::chrono::milliseconds health_probe_interval{0};
-  /// Deadline for each sentinel probe decode.
-  std::chrono::milliseconds health_probe_deadline{250};
-  /// Consecutive probe failures that open a replica's circuit breaker.
-  std::size_t health_failure_threshold = 3;
-  /// Half-open re-probe schedule for open breakers.
-  util::BackoffPolicy health_revive_backoff{std::chrono::milliseconds(100),
-                                            std::chrono::milliseconds(2000),
-                                            2.0,
-                                            0.2,
-                                            1 << 30};
+  /// Health supervision of every tenant's pool; probe_interval 0
+  /// (default) leaves replica health manual (#REPLICA kill/revive).
+  SupervisorConfig health;
 };
 
 class Router : public serve::TagService {
  public:
-  /// All replicas start on `model`. The model is shared, not copied —
-  /// with an mmap-loaded model the replicas share one page-cache copy of
-  /// the weights.
+  /// The default tenant's replicas start on `model` (or, on a durable
+  /// learning tier, on the generation WAL replay recovers). The model is
+  /// shared, not copied — with an mmap-loaded model the replicas share one
+  /// page-cache copy of the weights.
   Router(std::shared_ptr<const core::GraphNerModel> model, RouterConfig config);
   ~Router() override;
 
@@ -169,33 +166,32 @@ class Router : public serve::TagService {
   void add_model(const std::string& name,
                  std::shared_ptr<const core::GraphNerModel> model);
 
-  /// The tenant registry (default tenant + every added model).
+  /// The tenant registry (default tenant + every added model). Each
+  /// tenant exposes its breakers and supervisor, so tests can drive
+  /// breaker states and probe sweeps deterministically.
   [[nodiscard]] const ModelRegistry& models() const noexcept { return models_; }
 
-  /// The online learner, nullptr unless config.learn_enabled.
-  [[nodiscard]] const core::OnlineLearner* learner() const noexcept {
-    return learn_log_ ? &learn_log_->learner() : nullptr;
-  }
-  /// The durable learn journal, nullptr unless config.learn_enabled.
-  [[nodiscard]] const LearnLog* learn_log() const noexcept {
-    return learn_log_.get();
-  }
-  /// Per-replica circuit breakers (opened by the health supervisor;
-  /// exposed so tests can drive breaker states deterministically).
-  [[nodiscard]] BreakerBoard& breakers() noexcept { return breakers_; }
-  /// The health supervisor, nullptr unless health_probe_interval > 0.
-  [[nodiscard]] HealthSupervisor* supervisor() noexcept {
-    return supervisor_.get();
+  /// The default tenant's durable learn journal (and its learner),
+  /// nullptr unless learn_enabled.
+  [[nodiscard]] const LearnLog* learn_log() const {
+    return models_.default_tenant()->learn.get();
   }
 
-  [[nodiscard]] std::size_t replica_count() const noexcept {
-    return replicas_.size();
+  /// The default tenant's pool (what "#REPLICA kill|revive|swap <i>"
+  /// address).
+  [[nodiscard]] std::size_t replica_count() const {
+    return models_.default_tenant()->replicas.size();
   }
-  [[nodiscard]] ReplicaHandle& replica(std::size_t i) { return *replicas_[i]; }
+  [[nodiscard]] ReplicaHandle& replica(std::size_t i) {
+    return *models_.default_tenant()->replicas[i];
+  }
   [[nodiscard]] ShardedLruCache& cache() noexcept { return cache_; }
 
-  /// Drain and join every replica. Idempotent; also run by the destructor.
-  void stop();
+  /// Stop every tenant (supervisor first, then its replicas). Idempotent;
+  /// also run by the destructor.
+  void stop() {
+    for (const auto& tenant : models_.list()) tenant->stop();
+  }
 
  private:
   /// The synchronous tail of a request: wait on the primary submission,
@@ -209,17 +205,6 @@ class Router : public serve::TagService {
                                            std::string base_key,
                                            std::shared_ptr<Tenant> tenant);
 
-  /// The replica pool a tenant routes over: the router's own replicas_
-  /// for the default tenant (see ModelRegistry), the tenant's private
-  /// pool otherwise.
-  [[nodiscard]] std::vector<std::unique_ptr<ReplicaHandle>>& pool_of(
-      Tenant& tenant) noexcept {
-    return tenant.is_default ? replicas_ : tenant.replicas;
-  }
-  [[nodiscard]] HashRing& ring_of(Tenant& tenant) noexcept {
-    return tenant.is_default ? ring_ : *tenant.ring;
-  }
-
   [[nodiscard]] static bool needs_failover(serve::Status status) noexcept {
     // A killed/draining replica answers SHUTDOWN; UNAVAILABLE means a
     // mid-swap reject. Both are replica-local conditions a sibling can
@@ -229,14 +214,39 @@ class Router : public serve::TagService {
            status == serve::Status::kUnavailable;
   }
 
+  /// True when replica `idx` of `tenant` may take traffic: healthy and its
+  /// breaker is not open. Callers pass ignore_breakers when every breaker
+  /// of the tenant is open (fail-static: when the probe path itself is
+  /// what broke, routing around everything would turn a monitoring bug
+  /// into an outage).
+  [[nodiscard]] static bool routable(const Tenant& tenant, std::size_t idx,
+                                     bool ignore_breakers) {
+    return tenant.replicas[idx]->healthy() &&
+           (ignore_breakers || !tenant.breakers.is_open(idx));
+  }
+
+  /// Fraction of canary sentences whose blended decode differs between
+  /// `current` and `fork` (the swap gate; call with canary non-empty).
+  [[nodiscard]] double canary_disagreement(
+      const core::GraphNerModel& current, const core::GraphNerModel& fork);
+  /// The "#REPLICA learn ..." admin subtree.
+  [[nodiscard]] std::string admin_learn(std::istringstream& in);
+  /// The "#REPLICA model add|swap|drop|list" tenant-management subtree.
+  [[nodiscard]] std::string admin_model(std::istringstream& in);
+  /// The "#REPLICA quota <model> <rate> <burst> | <model> off" subtree.
+  [[nodiscard]] std::string admin_quota(std::istringstream& in);
+  /// Swap `model` into every replica of `tenant`, record it as
+  /// tenant.model and drop cache generations the pool no longer serves;
+  /// returns entries invalidated. Caller holds swap_mutex_.
+  std::size_t swap_pool(Tenant& tenant,
+                        std::shared_ptr<const core::GraphNerModel> model);
+
   RouterConfig config_;
   obs::Registry registry_;
   /// Tenant registry; declared after registry_ (its instruments live
-  /// there) and before cache_/replicas_ so teardown order is safe.
+  /// there) and before cache_ so teardown order is safe.
   ModelRegistry models_;
   ShardedLruCache cache_;
-  std::vector<std::unique_ptr<ReplicaHandle>> replicas_;
-  HashRing ring_;
   obs::Counter& requests_;
   obs::Counter& failovers_;
   obs::Counter& unavailable_;
@@ -244,62 +254,12 @@ class Router : public serve::TagService {
   obs::Counter& cache_misses_;  ///< same instrument the cache counts into
   obs::Counter& unknown_model_;  ///< UNKNOWN_MODEL rejections (pre-admission)
   obs::Counter& quota_rejected_;  ///< QUOTA_EXCEEDED rejections (pre-admission)
-  /// True when `idx` may take traffic: healthy and its breaker is not
-  /// open — unless EVERY breaker is open, in which case breakers are
-  /// ignored (fail-static: when the probe path itself is what broke,
-  /// routing around everything would turn a monitoring bug into an
-  /// outage).
-  [[nodiscard]] bool routable(std::size_t idx, bool ignore_breakers) const {
-    return replicas_[idx]->healthy() &&
-           (ignore_breakers || !breakers_.is_open(idx));
-  }
-  /// Tenant-aware routability: circuit breakers are a property of the
-  /// default pool (the supervisor only probes replicas_); added tenants'
-  /// replicas route on health alone.
-  [[nodiscard]] bool routable_in(const Tenant& tenant, std::size_t idx,
-                                 bool ignore_breakers) const {
-    if (tenant.is_default) return routable(idx, ignore_breakers);
-    return tenant.replicas[idx]->healthy();
-  }
-  [[nodiscard]] bool all_breakers_open() const {
-    return breakers_.open_count() >= replicas_.size();
-  }
-  /// Fraction of canary sentences whose blended decode differs between
-  /// `current` and `fork` (the swap gate; call with canary non-empty).
-  [[nodiscard]] double canary_disagreement(
-      const core::GraphNerModel& current, const core::GraphNerModel& fork);
-  /// The "#REPLICA learn ..." admin subtree (swap_mutex_ held by caller's
-  /// command dispatch where needed — see implementation).
-  [[nodiscard]] std::string admin_learn(std::istringstream& in);
-  /// The "#REPLICA model add|swap|drop|list" tenant-management subtree.
-  [[nodiscard]] std::string admin_model(std::istringstream& in);
-  /// The "#REPLICA quota <model> <rate> <burst> | <model> off" subtree.
-  [[nodiscard]] std::string admin_quota(std::istringstream& in);
-  /// Swap `model` into every replica of `pool` and drop cache generations
-  /// the pool no longer serves; returns entries invalidated. Caller holds
-  /// swap_mutex_.
-  std::size_t swap_pool(std::vector<std::unique_ptr<ReplicaHandle>>& pool,
-                        const std::shared_ptr<const core::GraphNerModel>& model);
-  /// swap_pool over the default pool (the learn/rollback swap path).
-  std::size_t swap_all_replicas(
-      const std::shared_ptr<const core::GraphNerModel>& model);
-  std::unique_ptr<LearnLog> learn_log_;
-  /// Bounded history of learned generations (sequence that produced each
-  /// + the swapped model); back() is what the tier currently serves.
-  struct Generation {
-    std::uint64_t seq = 0;
-    std::shared_ptr<const core::GraphNerModel> model;
-  };
-  std::deque<Generation> generations_;
-  BreakerBoard breakers_;
-  std::unique_ptr<HealthSupervisor> supervisor_;
-  /// Serializes every model-swap admin path — learn batches + fork swaps
-  /// AND single-replica "#REPLICA swap" — so interleaved swaps (each admin
-  /// command runs on its own connection thread) cannot invalidate a
-  /// generation mid-sweep or strand an orphaned cache generation.
+  /// Serializes every model-swap admin path — learn batches + fork swaps,
+  /// tenant swaps/drops AND single-replica "#REPLICA swap" — so interleaved
+  /// swaps (each admin command runs on its own connection thread) cannot
+  /// invalidate a generation mid-sweep or strand an orphaned cache
+  /// generation. Never taken by submit or resolve.
   std::mutex swap_mutex_;
-  bool stopped_ = false;
-  std::mutex stop_mutex_;
 };
 
 }  // namespace graphner::router

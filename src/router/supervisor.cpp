@@ -17,8 +17,7 @@ HealthSupervisor::HealthSupervisor(
       probe_failures_(registry.counter("router.health.probe_failures")),
       breaker_opens_(registry.counter("router.health.breaker_opens")),
       breaker_closes_(registry.counter("router.health.breaker_closes")),
-      revives_(registry.counter("router.health.revives")),
-      open_breakers_(registry.gauge("router.health.open_breakers")) {
+      revives_(registry.counter("router.health.revives")) {
   states_.reserve(replicas_.size());
   for (std::size_t i = 0; i < replicas_.size(); ++i)
     states_.emplace_back(config_.revive_backoff);
@@ -60,6 +59,7 @@ bool HealthSupervisor::probe(ReplicaHandle& replica) {
   sentinel.tokens = {"health", "probe"};
   serve::SubmitOptions probe_options;
   probe_options.deadline = config_.probe_deadline;
+  probe_options.probe = true;
   ReplicaSubmission submission =
       replica.submit(std::move(sentinel), std::move(probe_options));
   if (!submission.accepted) {
@@ -93,7 +93,7 @@ void HealthSupervisor::probe_all() {
       // Half-open attempt. A killed replica cannot answer a probe at all,
       // so revive it first — this is the automatic path that replaces
       // manual "#REPLICA revive".
-      if (config_.auto_revive && !replicas_[i]->healthy()) {
+      if (!replicas_[i]->healthy()) {
         replicas_[i]->revive();
         revives_.inc();
         util::log_info("supervisor: revived replica ", i,
@@ -126,7 +126,6 @@ void HealthSupervisor::probe_all() {
                      state.consecutive_failures, " consecutive probe failures");
     }
   }
-  open_breakers_.set(static_cast<double>(breakers_.open_count()));
 }
 
 }  // namespace graphner::router

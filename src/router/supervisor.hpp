@@ -1,19 +1,21 @@
 // Replica health supervisor: sentinel probes + per-replica circuit
 // breakers (DESIGN.md §13).
 //
-// Before this, replica health was binary and manual: a replica answered
-// submits until an operator sent "#REPLICA kill", and came back only on
-// "#REPLICA revive". The supervisor closes the loop automatically:
+// Every tenant's replica pool (ModelRegistry, DESIGN.md §14) gets its own
+// supervisor and BreakerBoard when probing is on, so a wedged replica is
+// noticed and routed around in whichever tenant it serves:
 //
 //   * every probe interval each replica decodes a sentinel sentence under
 //     a deadline; a probe fails when the replica rejects the submit, the
 //     response misses the deadline, or the status is terminal (SHUTDOWN /
 //     ERROR / DEADLINE_EXCEEDED) — OVERLOADED and degraded answers are
-//     load signals, not health failures;
+//     load signals, not health failures. A probe is not a request: it
+//     stays out of the replica's request counters, so the router's
+//     replica ledger holds with probing on;
 //   * `failure_threshold` consecutive failures open the replica's circuit
-//     breaker: the router routes requests around it (unless every breaker
-//     is open — fail-static beats fail-closed when the probe itself is
-//     what is broken);
+//     breaker: the router routes the tenant's requests around it (unless
+//     every breaker of that tenant is open — fail-static beats fail-closed
+//     when the probe itself is what is broken);
 //   * an open breaker is re-probed half-open on a util::Backoff schedule;
 //     a dead (killed) replica is revived first. One successful half-open
 //     probe closes the breaker and resets the backoff.
@@ -21,12 +23,13 @@
 // The "replica.probe" fault point fails a probe before it touches the
 // replica, so chaos runs can open breakers deterministically. Metrics:
 // router.health.{probes,probe_failures,breaker_opens,breaker_closes,
-// revives} counters and the router.health.open_breakers gauge.
+// revives} counters, shared by every tenant's supervisor (one registry
+// instrument each, so they sum over tenants); the router publishes the
+// router.health.open_breakers gauge at scrape time.
 //
-// The supervisor is opt-in (the router starts it only with a non-zero
-// probe interval); manual "#REPLICA kill|revive" keeps working either way
-// — a kill just gets noticed, routed around, and eventually revived when
-// the supervisor runs.
+// Probing is opt-in (a non-zero probe interval); manual "#REPLICA
+// kill|revive" keeps working either way — a kill just gets noticed,
+// routed around, and eventually revived when the supervisor runs.
 #pragma once
 
 #include <atomic>
@@ -74,7 +77,9 @@ class BreakerBoard {
 };
 
 struct SupervisorConfig {
-  std::chrono::milliseconds probe_interval{500};
+  /// Time between probe sweeps; 0 (default) turns probing off — no
+  /// supervisor is built and replica health stays manual.
+  std::chrono::milliseconds probe_interval{0};
   /// Deadline handed to the sentinel submit; a response slower than this
   /// counts as a failed probe.
   std::chrono::milliseconds probe_deadline{250};
@@ -86,9 +91,6 @@ struct SupervisorConfig {
   util::BackoffPolicy revive_backoff{std::chrono::milliseconds(100),
                                      std::chrono::milliseconds(2000), 2.0, 0.2,
                                      1 << 30};
-  /// Revive a dead replica before a half-open probe (automatic healing of
-  /// killed replicas).
-  bool auto_revive = true;
 };
 
 class HealthSupervisor {
@@ -134,7 +136,6 @@ class HealthSupervisor {
   obs::Counter& breaker_opens_;
   obs::Counter& breaker_closes_;
   obs::Counter& revives_;
-  obs::Gauge& open_breakers_;
   std::vector<ReplicaState> states_;
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -198,8 +198,8 @@ struct JsonCursor {
     }
     try {
       options.quantization = crf::parse_quantization(word.substr(eq + 1));
-    } catch (const std::exception&) {
-      error = "bad DECODE value \"" + word + "\"";
+    } catch (const std::exception& e) {
+      error = "bad DECODE value \"" + word + "\": " + e.what();
       return false;
     }
   }

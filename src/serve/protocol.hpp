@@ -38,16 +38,16 @@
 // "#DECODE" selects the decode options (DESIGN.md §10) for every later
 // request on the connection:
 //
-//   #DECODE quantized=int16
+//   #DECODE quantized=int8
 //   #DECODE off
 //
-// quantized= (off | int16 | int8) is the only key. "#DECODE off" (or a
+// quantized= (off | int8) is the only key. "#DECODE off" (or a
 // bare "#DECODE") drops the connection override and returns to the
 // server's configured options. Well-formed lines produce no reply —
 // pipelined clients keep their 1:1 request/response accounting — while
 // malformed ones answer with the usual parse-error line. The removed
-// pruning keys (beam=, threshold=) answer a parse error naming their
-// removal.
+// pruning keys (beam=, threshold=) and the removed quantized=int16 answer
+// a parse error naming their removal.
 //
 // Non-OK statuses put the error detail where the tags would go. The JSON
 // reader handles exactly this shape (string escapes included) — it is a
@@ -77,6 +77,10 @@
 //   learn file <path>               | absorb every sentence line of a file
 //   learn status                    | learner/WAL/generation state
 //   learn rollback                  | restore the previous generation
+//
+// status/kill/revive/swap <i> address the default model's replicas. On a
+// learning router the default model changes only through "learn": swap
+// <i> and "model swap default" answer an ERROR and swap nothing.
 //
 // Admin payloads larger than kMaxAdminLineBytes are rejected at parse
 // time with a structured error (see below).

@@ -56,6 +56,8 @@ struct PendingRequest {
   /// Canonical sentence key, threaded from SubmitOptions (or derived once
   /// at admission) so the coalescing worker never re-joins the tokens.
   std::string key;
+  /// Health probe (SubmitOptions::probe): decoded, never counted.
+  bool probe = false;
 
   [[nodiscard]] bool expired(std::chrono::steady_clock::time_point now) const noexcept {
     return now > deadline;

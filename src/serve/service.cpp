@@ -75,13 +75,14 @@ std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
                                     : std::move(options.key);
   request.sentence = std::move(sentence);
   request.decode = std::move(options.decode);
+  request.probe = options.probe;
   request.enqueued_at = std::chrono::steady_clock::now();
   std::chrono::milliseconds deadline = options.deadline;
   if (deadline.count() <= 0) deadline = config_.default_deadline;
   if (deadline.count() > 0) request.deadline = request.enqueued_at + deadline;
   std::future<TagResponse> future = request.promise.get_future();
 
-  metrics_.on_submitted();
+  if (!request.probe) metrics_.on_submitted();
   // push() consumes the request only when it is accepted; on rejection the
   // promise is still ours to resolve with the structured status.
   switch (queue_.push(std::move(request))) {
@@ -93,7 +94,7 @@ std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
       response.error = "queue full (depth " +
                        std::to_string(queue_.policy().max_queue_depth) +
                        "), retry later";
-      metrics_.on_rejected(response.status);
+      if (!request.probe) metrics_.on_rejected(response.status);
       request.promise.set_value(std::move(response));
       break;
     }
@@ -101,7 +102,7 @@ std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
       TagResponse response;
       response.status = Status::kShutdown;
       response.error = "service is stopping";
-      metrics_.on_rejected(response.status);
+      if (!request.probe) metrics_.on_rejected(response.status);
       request.promise.set_value(std::move(response));
       break;
     }
@@ -196,7 +197,7 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
                          std::to_string(static_cast<long>(response.queue_us)) +
                          " us in queue";
         response.degraded = false;
-        metrics_.on_expired(response.queue_us);
+        if (!request.probe) metrics_.on_expired(response.queue_us);
         request.promise.set_value(std::move(response));
         continue;
       }
@@ -218,9 +219,10 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
           response.decode_us = hit->second.second; // ...and its cost
           response.coalesced = true;
           response.labels = labels_;
-          metrics_.on_completed(response.queue_us, response.decode_us,
-                                /*error=*/false, /*coalesced=*/true,
-                                response.degraded);
+          if (!request.probe)
+            metrics_.on_completed(response.queue_us, response.decode_us,
+                                  /*error=*/false, /*coalesced=*/true,
+                                  response.degraded);
           request.promise.set_value(std::move(response));
           continue;
         }
@@ -242,9 +244,10 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
           us_between(decode_start, std::chrono::steady_clock::now());
       if (try_coalesce && response.status == Status::kOk)
         decoded.emplace(key, std::make_pair(response.tags, response.decode_us));
-      metrics_.on_completed(response.queue_us, response.decode_us,
-                            response.status == Status::kError,
-                            /*coalesced=*/false, response.degraded);
+      if (!request.probe)
+        metrics_.on_completed(response.queue_us, response.decode_us,
+                              response.status == Status::kError,
+                              /*coalesced=*/false, response.degraded);
       request.promise.set_value(std::move(response));
     }
   }

@@ -42,6 +42,11 @@ struct SubmitOptions {
   /// so one request normalizes its tokens exactly once. Empty = the
   /// service derives it itself (direct API callers).
   std::string key;
+  /// A health-supervisor sentinel, not a request: it is decoded like one
+  /// but kept out of the service's per-request counters, so the router's
+  /// replica ledger (submitted == misses - unavailable + failovers) stays
+  /// exact while probing runs.
+  bool probe = false;
 };
 
 class TagService {

@@ -1,6 +1,6 @@
 // Frozen copy of the pre-windowing BrownClustering::train (see header).
 // Any edit here invalidates the golden-equivalence contract — don't.
-#include "src/embeddings/brown_reference.hpp"
+#include "tests/support/brown_reference.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -103,32 +103,29 @@ TEST(PrunedQuant, RoundTripWithinAdvertisedDrift) {
 
   util::Rng rng(42);
   std::vector<double> exact, quant;
-  for (const auto [mode, levels] :
-       {std::pair{Quantization::kInt16, 32767.0},
-        std::pair{Quantization::kInt8, 127.0}}) {
-    SCOPED_TRACE(quantization_name(mode));
-    model.prepare_quantization(mode);
-    ASSERT_TRUE(model.quantization_ready(mode));
-    // Rounding to the nearest level loses at most half a step of the
-    // per-feature-row scale; the drift accessor reports the table-wide max.
-    const double drift = model.quantization_drift();
-    EXPECT_GT(drift, 0.0);
-    EXPECT_LE(drift, absmax / (2.0 * levels) * (1.0 + 1e-6));
+  const Quantization mode = Quantization::kInt8;
+  const double levels = 127.0;
+  model.prepare_quantization(mode);
+  ASSERT_TRUE(model.quantization_ready(mode));
+  // Rounding to the nearest level loses at most half a step of the
+  // per-feature-row scale; the drift accessor reports the table-wide max.
+  const double drift = model.quantization_drift();
+  EXPECT_GT(drift, 0.0);
+  EXPECT_LE(drift, absmax / (2.0 * levels) * (1.0 + 1e-6));
 
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto sentence = random_sentence(1 + rng.below(20), 400, rng);
-      model.emission_scores(sentence, exact);
-      model.emission_scores(sentence, mode, quant);
-      ASSERT_EQ(exact.size(), quant.size());
-      for (std::size_t i = 0; i < sentence.size(); ++i) {
-        // Each active feature contributes at most `drift` of error (plus
-        // vanishing float accumulator rounding).
-        const double bound =
-            static_cast<double>(sentence.features[i].size()) * drift + 1e-4;
-        for (std::size_t s = 0; s < space.num_states(); ++s)
-          EXPECT_NEAR(quant[i * 9 + s], exact[i * 9 + s], bound)
-              << "position " << i << " state " << s;
-      }
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto sentence = random_sentence(1 + rng.below(20), 400, rng);
+    model.emission_scores(sentence, exact);
+    model.emission_scores(sentence, mode, quant);
+    ASSERT_EQ(exact.size(), quant.size());
+    for (std::size_t i = 0; i < sentence.size(); ++i) {
+      // Each active feature contributes at most `drift` of error (plus
+      // vanishing float accumulator rounding).
+      const double bound =
+          static_cast<double>(sentence.features[i].size()) * drift + 1e-4;
+      for (std::size_t s = 0; s < space.num_states(); ++s)
+        EXPECT_NEAR(quant[i * 9 + s], exact[i * 9 + s], bound)
+            << "position " << i << " state " << s;
     }
   }
 
@@ -255,17 +252,23 @@ TEST(PrunedConcurrent, SharedModelDistinctScratches) {
 
 TEST(PrunedOptions, PredicatesAndParsing) {
   EXPECT_TRUE(DecodeOptions{}.exact());
-  EXPECT_FALSE(quantized(Quantization::kInt16).exact());
   EXPECT_FALSE(quantized(Quantization::kInt8).exact());
 
   EXPECT_EQ(parse_quantization(""), Quantization::kFloat);
   EXPECT_EQ(parse_quantization("off"), Quantization::kFloat);
   EXPECT_EQ(parse_quantization("float"), Quantization::kFloat);
-  EXPECT_EQ(parse_quantization("int16"), Quantization::kInt16);
   EXPECT_EQ(parse_quantization("int8"), Quantization::kInt8);
   EXPECT_THROW(parse_quantization("int4"), std::invalid_argument);
+  // The deleted int16 table is refused by name, not silently downgraded.
+  try {
+    (void)parse_quantization("int16");
+    ADD_FAILURE() << "int16 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
 
-  EXPECT_EQ(quantized(Quantization::kInt16).to_string(), "quantized=int16");
+  EXPECT_EQ(quantized(Quantization::kInt8).to_string(), "quantized=int8");
   EXPECT_EQ(DecodeOptions{}.to_string(), "quantized=float");
 }
 

@@ -409,7 +409,7 @@ TEST_F(LearnTier, CanaryGateQuarantinesDriftingBatch) {
   // The poisoned batch never reached the replica, the learner rolled back
   // to the durable state, and status shows the quarantine.
   EXPECT_EQ(router.replica(0).fingerprint(), base_fingerprint);
-  EXPECT_EQ(router.learner()->vertex_count(), 0U);
+  EXPECT_EQ(router.learn_log()->learner().vertex_count(), 0U);
   const std::string status = router.admin("learn status");
   EXPECT_NE(status.find("quarantined=1"), std::string::npos) << status;
   const auto snapshot = router.observability_snapshot();
@@ -454,6 +454,46 @@ TEST_F(LearnTier, RollbackRestoresThePreviousGenerationTierWide) {
   // previous generation retained, so a further rollback is refused.
   EXPECT_EQ(restarted.admin("learn rollback").rfind("ERROR", 0), 0U);
   restarted.stop();
+}
+
+TEST_F(LearnTier, SwapOfALearningTenantIsRefused) {
+  // A learning tenant's model moves only through "#REPLICA learn": an
+  // operator swap would be reverted by the next learned fork, and the
+  // canary and rollback would compare against a generation nobody serves.
+  router::RouterConfig config;
+  config.replicas = 2;
+  config.replica_service.workers = 1;
+  config.learn_enabled = true;
+  router::Router router(*model_, config);
+
+  std::string line;
+  for (const auto& token : (*sentences_)[0].tokens)
+    line += (line.empty() ? "" : " ") + token;
+  ASSERT_EQ(router.admin("learn text " + line).rfind("OK", 0), 0U);
+  const auto learned = router.replica(0).fingerprint();
+  ASSERT_NE(learned, (*model_)->fingerprint());
+
+  const std::string path = ::testing::TempDir() + "learning_tenant_swap.gmm";
+  (*model_)->save_mmap_file(path);
+  for (const std::string& command :
+       {"swap 0 " + path, "swap 1 " + path, "model swap default " + path}) {
+    SCOPED_TRACE(command);
+    const std::string reply = router.admin(command);
+    EXPECT_EQ(reply.rfind("ERROR", 0), 0U) << reply;
+    EXPECT_NE(reply.find("changes only through #REPLICA learn"),
+              std::string::npos)
+        << reply;
+  }
+  EXPECT_EQ(router.replica(0).fingerprint(), learned);
+  EXPECT_EQ(router.replica(1).fingerprint(), learned);
+  EXPECT_EQ(router.observability_snapshot().counter_value("router.swaps"),
+            2U);  // the learned fork into each replica, nothing since
+
+  // The learn path itself keeps working, and rollback restores the base
+  // the pool served before the batch.
+  ASSERT_EQ(router.admin("learn rollback").rfind("OK rolled back", 0), 0U);
+  EXPECT_EQ(router.replica(0).fingerprint(), (*model_)->fingerprint());
+  router.stop();
 }
 
 TEST_F(LearnTier, LearnFileCapRejectsOversizedIngestion) {

@@ -1,12 +1,16 @@
 // Multi-tenant serving tests (DESIGN.md §14): the tenant-scoped request
 // API (TSV '#<model>' id suffix, JSON "model" member, "#MODEL" connection
 // default), the router's ModelRegistry, tenant-keyed cache isolation,
-// token-bucket quotas, and the per-tenant conservation laws.
+// token-bucket quotas, the per-tenant conservation laws, and per-tenant
+// health supervision (breakers, fail-static, drop under probing).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/corpus/generator.hpp"
@@ -479,6 +483,150 @@ TEST_F(TenantTier, MixedTenantTrafficKeepsEveryConservationLaw) {
                   snapshot.counter_value("tenant." + tenant + ".cache_misses"))
         << tenant;
   router.stop();
+}
+
+// --- per-tenant health: every pool has its own breakers + supervisor -------
+
+[[nodiscard]] double gauge_value(const obs::RegistrySnapshot& snapshot,
+                                 const std::string& name) {
+  for (const auto& gauge : snapshot.gauges)
+    if (gauge.name == name) return gauge.value;
+  return -1.0;
+}
+
+TEST_F(TenantTier, AddedTenantReplicaIsProbedBreakerOpensAndRevives) {
+  RouterConfig config = small_config(1);
+  config.tenant_replicas = 2;
+  config.cache_enabled = false;  // every request reaches a replica
+  // The probe threads sleep far past the test; probe_all() is driven by
+  // hand for a deterministic drill.
+  config.health.probe_interval = std::chrono::hours(1);
+  config.health.probe_deadline = std::chrono::milliseconds(2000);
+  config.health.failure_threshold = 2;
+  config.health.revive_backoff.initial = std::chrono::milliseconds(1);
+  config.health.revive_backoff.max = std::chrono::milliseconds(2);
+  Router router(*model_, config);
+  router.add_model("jnlpba", *alt_model_);
+  const auto tenant = router.models().resolve("jnlpba");
+  ASSERT_NE(tenant, nullptr);
+  ASSERT_NE(tenant->supervisor, nullptr);
+
+  tenant->replicas[0]->kill();
+  tenant->supervisor->probe_all();  // failure 1 of 2: breaker still closed
+  EXPECT_FALSE(tenant->breakers.is_open(0));
+  tenant->supervisor->probe_all();  // failure 2 of 2: breaker opens
+  EXPECT_TRUE(tenant->breakers.is_open(0));
+  EXPECT_FALSE(tenant->breakers.is_open(1));
+  EXPECT_EQ(gauge_value(router.observability_snapshot(),
+                        "router.health.open_breakers"),
+            1.0);
+
+  // The tenant keeps answering, byte-identical, from its live replica.
+  for (std::size_t i = 0; i < sentences_->size(); ++i) {
+    auto response = router.submit((*sentences_)[i], for_model("jnlpba")).get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.tags, (*alt_expected_)[i]) << "sentence " << i;
+  }
+
+  // Half-open probe (past the tiny backoff) revives the dead replica and
+  // closes its breaker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  tenant->supervisor->probe_all();
+  EXPECT_TRUE(tenant->replicas[0]->healthy());
+  EXPECT_FALSE(tenant->breakers.is_open(0));
+
+  const auto snapshot = router.observability_snapshot();
+  EXPECT_EQ(snapshot.counter_value("router.health.breaker_opens"), 1U);
+  EXPECT_EQ(snapshot.counter_value("router.health.breaker_closes"), 1U);
+  EXPECT_EQ(snapshot.counter_value("router.health.revives"), 1U);
+  EXPECT_EQ(gauge_value(snapshot, "router.health.open_breakers"), 0.0);
+  // Probes stay out of the request ledger: every replica submission is a
+  // routed request.
+  EXPECT_EQ(snapshot.counter_value("tenant.jnlpba.replica.0.submitted") +
+                snapshot.counter_value("tenant.jnlpba.replica.1.submitted"),
+            sentences_->size());
+  EXPECT_EQ(snapshot.counter_value("replica.0.submitted"), 0U);
+  router.stop();
+}
+
+TEST_F(TenantTier, FailStaticIsScopedToItsTenant) {
+  RouterConfig config = small_config(2);
+  config.tenant_replicas = 2;
+  config.cache_enabled = false;
+  Router router(*model_, config);
+  router.add_model("jnlpba", *alt_model_);
+  const auto added = router.models().resolve("jnlpba");
+  const auto deft = router.models().default_tenant();
+
+  // Every breaker of the added tenant is open: it fails static and keeps
+  // answering. The default tenant has one breaker open, and that breaker
+  // must still route its traffic — fail-static is not tier-wide.
+  added->breakers.set_open(0, true);
+  added->breakers.set_open(1, true);
+  deft->breakers.set_open(0, true);
+
+  for (std::size_t i = 0; i < sentences_->size(); ++i) {
+    auto alt = router.submit((*sentences_)[i], for_model("jnlpba")).get();
+    ASSERT_TRUE(alt.ok()) << alt.error;
+    EXPECT_EQ(alt.tags, (*alt_expected_)[i]) << "sentence " << i;
+    auto d = router.submit((*sentences_)[i], for_model("")).get();
+    ASSERT_TRUE(d.ok()) << d.error;
+    EXPECT_EQ(d.tags, (*expected_)[i]) << "sentence " << i;
+  }
+  const auto snapshot = router.observability_snapshot();
+  EXPECT_EQ(snapshot.counter_value("replica.0.submitted"), 0U);
+  EXPECT_EQ(snapshot.counter_value("replica.1.submitted"), sentences_->size());
+  EXPECT_EQ(snapshot.counter_value("tenant.jnlpba.replica.0.submitted") +
+                snapshot.counter_value("tenant.jnlpba.replica.1.submitted"),
+            sentences_->size());
+  router.stop();
+}
+
+TEST_F(TenantTier, DroppingATenantWhileItsSupervisorProbesIsSafe) {
+  // TSAN coverage: the added tenant's probe thread runs hot (1 ms) while
+  // traffic flows to it and the tenant is dropped and re-added under it.
+  RouterConfig config = small_config(1);
+  config.tenant_replicas = 2;
+  config.health.probe_interval = std::chrono::milliseconds(1);
+  config.health.probe_deadline = std::chrono::milliseconds(500);
+  config.health.failure_threshold = 1;
+  config.health.revive_backoff.initial = std::chrono::milliseconds(1);
+  config.health.revive_backoff.max = std::chrono::milliseconds(2);
+  Router router(*model_, config);
+  router.add_model("jnlpba", *alt_model_);
+
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int i = 0; i < 5; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      EXPECT_EQ(router.admin("model drop jnlpba").rfind("OK dropped", 0), 0U);
+      router.add_model("jnlpba", *alt_model_);
+    }
+    done.store(true);
+  });
+  std::size_t answered = 0;
+  for (std::size_t i = 0; !done.load(); ++i) {
+    auto response = router
+                         .submit((*sentences_)[i % sentences_->size()],
+                                 for_model("jnlpba"))
+                         .get();
+    if (response.ok()) {
+      ++answered;
+      EXPECT_EQ(response.tags, (*alt_expected_)[i % sentences_->size()]);
+    } else {
+      // Between drop and re-add the name is unknown; a request caught on a
+      // dropped pool resolves UNAVAILABLE. Nothing else is acceptable.
+      EXPECT_TRUE(response.status == serve::Status::kUnknownModel ||
+                  response.status == serve::Status::kUnavailable)
+          << serve::status_name(response.status) << ": " << response.error;
+    }
+  }
+  churn.join();
+  EXPECT_GT(answered, 0U);
+  router.stop();
+  EXPECT_GT(router.observability_snapshot().counter_value(
+                "router.health.probes"),
+            0U);
 }
 
 }  // namespace

@@ -522,7 +522,8 @@ TEST_F(RouterTier, SocketServerFrontsRouterWithAdminProtocol) {
 
 TEST_F(RouterTier, OpenBreakerRoutesTrafficAroundReplica) {
   Router router(*model_, small_config(2));
-  router.breakers().set_open(0, true);
+  const auto tenant = router.models().default_tenant();
+  tenant->breakers.set_open(0, true);
 
   const auto submitted = [&](std::size_t i) {
     return router.observability_snapshot().counter_value(
@@ -542,7 +543,7 @@ TEST_F(RouterTier, OpenBreakerRoutesTrafficAroundReplica) {
 
   // Fail-static: with EVERY breaker open, breakers are ignored — the tier
   // keeps serving rather than turning a monitoring failure into an outage.
-  router.breakers().set_open(1, true);
+  tenant->breakers.set_open(1, true);
   EXPECT_TRUE(router.submit(sentences_->front()).get().ok());
   router.stop();
 }
@@ -551,27 +552,28 @@ TEST_F(RouterTier, SupervisorOpensBreakerOnDeadReplicaAndRevivesIt) {
   RouterConfig config = small_config(2, /*cache=*/false);
   // The probe thread sleeps far past the test; probe_all() is driven by
   // hand for a deterministic drill (the sweep mutex makes that safe).
-  config.health_probe_interval = std::chrono::hours(1);
-  config.health_probe_deadline = std::chrono::milliseconds(2000);
-  config.health_failure_threshold = 2;
-  config.health_revive_backoff.initial = std::chrono::milliseconds(1);
-  config.health_revive_backoff.max = std::chrono::milliseconds(2);
+  config.health.probe_interval = std::chrono::hours(1);
+  config.health.probe_deadline = std::chrono::milliseconds(2000);
+  config.health.failure_threshold = 2;
+  config.health.revive_backoff.initial = std::chrono::milliseconds(1);
+  config.health.revive_backoff.max = std::chrono::milliseconds(2);
   Router router(*model_, config);
-  ASSERT_NE(router.supervisor(), nullptr);
+  const auto tenant = router.models().default_tenant();
+  ASSERT_NE(tenant->supervisor, nullptr);
 
   router.replica(0).kill();
-  router.supervisor()->probe_all();  // failure 1 of 2: breaker still closed
-  EXPECT_FALSE(router.breakers().is_open(0));
-  router.supervisor()->probe_all();  // failure 2 of 2: breaker opens
-  EXPECT_TRUE(router.breakers().is_open(0));
-  EXPECT_FALSE(router.breakers().is_open(1));
+  tenant->supervisor->probe_all();  // failure 1 of 2: breaker still closed
+  EXPECT_FALSE(tenant->breakers.is_open(0));
+  tenant->supervisor->probe_all();  // failure 2 of 2: breaker opens
+  EXPECT_TRUE(tenant->breakers.is_open(0));
+  EXPECT_FALSE(tenant->breakers.is_open(1));
 
   // Half-open probe (past the tiny backoff) auto-revives the dead replica
   // and closes the breaker again.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  router.supervisor()->probe_all();
+  tenant->supervisor->probe_all();
   EXPECT_TRUE(router.replica(0).healthy());
-  EXPECT_FALSE(router.breakers().is_open(0));
+  EXPECT_FALSE(tenant->breakers.is_open(0));
 
   const auto snapshot = router.observability_snapshot();
   EXPECT_GE(snapshot.counter_value("router.health.probes"), 5U);
@@ -583,28 +585,29 @@ TEST_F(RouterTier, SupervisorOpensBreakerOnDeadReplicaAndRevivesIt) {
 
 TEST_F(RouterTier, SupervisorProbeFaultOpensBreakerDeterministically) {
   RouterConfig config = small_config(2, /*cache=*/false);
-  config.health_probe_interval = std::chrono::hours(1);
-  config.health_failure_threshold = 2;
-  config.health_revive_backoff.initial = std::chrono::milliseconds(1);
-  config.health_revive_backoff.max = std::chrono::milliseconds(2);
+  config.health.probe_interval = std::chrono::hours(1);
+  config.health.failure_threshold = 2;
+  config.health.revive_backoff.initial = std::chrono::milliseconds(1);
+  config.health.revive_backoff.max = std::chrono::milliseconds(2);
   Router router(*model_, config);
+  const auto tenant = router.models().default_tenant();
 
   // Every probe fires the fault: both replicas' probes fail without the
   // request ever reaching a replica, and both breakers open.
   util::FaultInjector::instance().configure("replica.probe=1", 7);
-  router.supervisor()->probe_all();
-  router.supervisor()->probe_all();
-  EXPECT_TRUE(router.breakers().is_open(0));
-  EXPECT_TRUE(router.breakers().is_open(1));
+  tenant->supervisor->probe_all();
+  tenant->supervisor->probe_all();
+  EXPECT_TRUE(tenant->breakers.is_open(0));
+  EXPECT_TRUE(tenant->breakers.is_open(1));
   // Fail-static keeps the tier answering while every breaker is open.
   EXPECT_TRUE(router.submit(sentences_->front()).get().ok());
 
   // Faults cleared: half-open probes close both breakers again.
   util::FaultInjector::instance().disable();
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  router.supervisor()->probe_all();
-  EXPECT_FALSE(router.breakers().is_open(0));
-  EXPECT_FALSE(router.breakers().is_open(1));
+  tenant->supervisor->probe_all();
+  EXPECT_FALSE(tenant->breakers.is_open(0));
+  EXPECT_FALSE(tenant->breakers.is_open(1));
   router.stop();
 }
 
@@ -612,11 +615,11 @@ TEST_F(RouterTier, SupervisorThreadProbesConcurrentlyWithTraffic) {
   // TSAN coverage: the probe thread runs hot (1ms interval) while client
   // traffic flows and a replica is killed/revived under it.
   RouterConfig config = small_config(2, /*cache=*/false);
-  config.health_probe_interval = std::chrono::milliseconds(1);
-  config.health_probe_deadline = std::chrono::milliseconds(500);
-  config.health_failure_threshold = 1;
-  config.health_revive_backoff.initial = std::chrono::milliseconds(1);
-  config.health_revive_backoff.max = std::chrono::milliseconds(2);
+  config.health.probe_interval = std::chrono::milliseconds(1);
+  config.health.probe_deadline = std::chrono::milliseconds(500);
+  config.health.failure_threshold = 1;
+  config.health.revive_backoff.initial = std::chrono::milliseconds(1);
+  config.health.revive_backoff.max = std::chrono::milliseconds(2);
   Router router(*model_, config);
 
   std::atomic<bool> done{false};

@@ -852,11 +852,12 @@ TEST(ServeProtocol, DecodeAcceptsOnlyQuantized) {
   ASSERT_EQ(off.kind, LineKind::kDecode);
   EXPECT_FALSE(off.decode.has_value());
 
-  // The removed pruning keys answer a parse error naming the removal and
-  // the surviving key — never a silent no-op, never tokens to tag.
+  // The removed pruning keys and the removed int16 table answer a parse
+  // error naming the removal and the surviving key — never a silent no-op,
+  // never tokens to tag.
   for (const std::string line :
        {"#DECODE beam=4", "#DECODE threshold=0.001",
-        "#DECODE quantized=int8 beam=4"}) {
+        "#DECODE quantized=int8 beam=4", "#DECODE quantized=int16"}) {
     SCOPED_TRACE(line);
     const auto parsed = parse_request_line(line);
     ASSERT_EQ(parsed.kind, LineKind::kMalformed);

@@ -13,7 +13,7 @@
 
 #include "src/corpus/generator.hpp"
 #include "src/embeddings/brown.hpp"
-#include "src/embeddings/brown_reference.hpp"
+#include "tests/support/brown_reference.hpp"
 #include "src/embeddings/word2vec.hpp"
 #include "src/graphner/pipeline.hpp"
 #include "src/obs/span.hpp"
