@@ -24,17 +24,16 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(*scale, *seed));
-  const auto vertices = graph::build_trigram_vertices(data.train, data.test);
   std::vector<const text::Sentence*> all;
   for (const auto& s : data.train) all.push_back(&s);
   for (const auto& s : data.test) all.push_back(&s);
 
   const features::FeatureExtractor extractor{features::FeatureConfig{}};
-  auto vectors = graph::build_vertex_vectors(vertices, all, extractor,
-                                             graph::VertexFeatureConfig{});
+  auto build = graph::build_vertices(all, extractor, graph::VertexFeatureConfig{});
+  const graph::TrigramVertices& vertices = build.vertices;
   graph::KnnConfig knn_config;
   knn_config.k = *k;
-  const auto knn = graph::build_knn_graph(std::move(vectors.vectors), knn_config);
+  const auto knn = graph::build_knn_graph(std::move(build.vectors), knn_config);
   const auto stats = graph::compute_graph_stats(knn);
 
   // Labelled / positively-labelled fractions (paper: 77.2% / 8.5%).

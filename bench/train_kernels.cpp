@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   }
   results.push_back(interleaved(
       "brown", *reps,
-      [&] { embeddings::train_brown_reference(embedding_text, brown_config); },
+      [&] { (void)embeddings::train_brown_reference(embedding_text, brown_config); },
       [&] { embeddings::BrownClustering::train(embedding_text, brown_config); }));
 
   // ---- word2vec (serial trajectory vs Hogwild at --threads).
@@ -183,11 +183,11 @@ int main(int argc, char** argv) {
       "kmeans", *reps,
       [&] {
         util::set_num_threads(1);
-        embeddings::cluster_embeddings(w2v_model, 40, 8);
+        (void)embeddings::cluster_embeddings(w2v_model, 40, 8);
       },
       [&] {
         util::set_num_threads(static_cast<int>(*threads));
-        embeddings::cluster_embeddings(w2v_model, 40, 8);
+        (void)embeddings::cluster_embeddings(w2v_model, 40, 8);
       }));
   util::set_num_threads(saved_threads);
 

@@ -9,8 +9,8 @@
 //       no server: route the file through the replica tier and print the
 //       exact response lines a client would see — CI diffs this against
 //       graphner_client output to prove online == offline
-//   graphner_router --load-model gene.gmm --add-model jnlpba=jnlpba.gmm \
-//                   --quota jnlpba=100/50
+//   graphner_router --load-model gene.gmm --add-model jnlpba=jnlpba.gmm
+//                   --quota jnlpba=100/50   (one command line)
 //       multi-tenant: serve two resident models; requests pick one per
 //       request ('#jnlpba' id suffix, JSON "model", or "#MODEL jnlpba")
 //       and the jnlpba tenant is rate-limited (DESIGN.md §14)

@@ -5,20 +5,6 @@
 #include "src/util/strings.hpp"
 
 namespace graphner::graph {
-namespace {
-
-[[nodiscard]] std::string key_of(const std::array<std::string, 3>& trigram) {
-  std::string key;
-  key.reserve(trigram[0].size() + trigram[1].size() + trigram[2].size() + 2);
-  key += trigram[0];
-  key += '\x1f';
-  key += trigram[1];
-  key += '\x1f';
-  key += trigram[2];
-  return key;
-}
-
-}  // namespace
 
 std::size_t TrigramVertices::token_count() const noexcept {
   std::size_t n = 0;
@@ -31,6 +17,17 @@ std::string TrigramVertices::vertex_text(VertexId v) const {
   return "[" + t[0] + " " + t[1] + " " + t[2] + "]";
 }
 
+std::string trigram_key(const std::array<std::string, 3>& trigram) {
+  std::string key;
+  key.reserve(trigram[0].size() + trigram[1].size() + trigram[2].size() + 2);
+  key += trigram[0];
+  key += '\x1f';
+  key += trigram[1];
+  key += '\x1f';
+  key += trigram[2];
+  return key;
+}
+
 std::array<std::string, 3> trigram_at(const text::Sentence& sentence,
                                       std::size_t position) {
   assert(position < sentence.size());
@@ -41,32 +38,6 @@ std::array<std::string, 3> trigram_at(const text::Sentence& sentence,
   };
   const auto pos = static_cast<long long>(position);
   return {at(pos - 1), at(pos), at(pos + 1)};
-}
-
-TrigramVertices build_trigram_vertices(const std::vector<text::Sentence>& train,
-                                       const std::vector<text::Sentence>& test) {
-  TrigramVertices out;
-  out.train_sentence_count = train.size();
-  std::unordered_map<std::string, VertexId> index;
-
-  auto add_side = [&](const std::vector<text::Sentence>& sentences) {
-    for (const auto& sentence : sentences) {
-      std::vector<VertexId> row;
-      row.reserve(sentence.size());
-      for (std::size_t i = 0; i < sentence.size(); ++i) {
-        auto trigram = trigram_at(sentence, i);
-        const std::string key = key_of(trigram);
-        auto [it, inserted] =
-            index.emplace(key, static_cast<VertexId>(out.trigrams.size()));
-        if (inserted) out.trigrams.push_back(std::move(trigram));
-        row.push_back(it->second);
-      }
-      out.positions.push_back(std::move(row));
-    }
-  };
-  add_side(train);
-  add_side(test);
-  return out;
 }
 
 }  // namespace graphner::graph

@@ -1,8 +1,10 @@
 #include "src/graph/vertex_features.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <istream>
+#include <ostream>
+#include <stdexcept>
 
 #include "src/text/lemmatizer.hpp"
 #include "src/util/logging.hpp"
@@ -51,67 +53,131 @@ std::string representation_name(VertexRepresentation rep) {
   return "?";
 }
 
-VertexVectors build_vertex_vectors(const TrigramVertices& vertices,
-                                   const std::vector<const text::Sentence*>& sentences,
-                                   const features::FeatureExtractor& extractor,
-                                   const VertexFeatureConfig& config) {
-  assert(sentences.size() == vertices.positions.size());
-  const std::size_t num_vertices = vertices.vertex_count();
-
-  // Pass 1: count (vertex, feature) cooccurrences over all token positions.
-  std::unordered_map<std::string, std::uint32_t> feature_ids;
-  std::vector<std::uint64_t> feature_counts;
-  std::vector<std::uint64_t> vertex_counts(num_vertices, 0);
-  // Per-vertex sparse counts gathered as (feature, count) maps.
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> vf(num_vertices);
-  std::uint64_t total = 0;
-
-  for (std::size_t s = 0; s < sentences.size(); ++s) {
-    const text::Sentence& sentence = *sentences[s];
-    for (std::size_t i = 0; i < sentence.size(); ++i) {
-      const VertexId v = vertices.positions[s][i];
-      const std::vector<std::string> names =
-          vertex_features_at(sentence, i, extractor, config);
-      ++vertex_counts[v];
-      for (const auto& name : names) {
-        auto [it, inserted] =
-            feature_ids.emplace(name, static_cast<std::uint32_t>(feature_counts.size()));
-        if (inserted) feature_counts.push_back(0);
-        ++feature_counts[it->second];
-        ++vf[v][it->second];
-        ++total;
-      }
+std::vector<VertexId> PpmiCounts::add(const text::Sentence& sentence,
+                                      const features::FeatureExtractor& extractor) {
+  std::vector<VertexId> row;
+  row.reserve(sentence.size());
+  for (std::size_t i = 0; i < sentence.size(); ++i) {
+    auto trigram = trigram_at(sentence, i);
+    const auto [slot, inserted] = vertex_of_.try_emplace(
+        trigram_key(trigram), static_cast<VertexId>(trigrams_.size()));
+    const VertexId v = slot->second;
+    if (inserted) {
+      trigrams_.push_back(std::move(trigram));
+      open_.emplace_back();
     }
+    OpenVertex* open = v >= first_open_ ? &open_[v - first_open_] : nullptr;
+    if (open != nullptr) ++open->occurrences;
+    for (auto& name : vertex_features_at(sentence, i, extractor, config_)) {
+      const auto [feature, finserted] = feature_ids_.try_emplace(
+          std::move(name), static_cast<std::uint32_t>(feature_counts_.size()));
+      if (finserted) feature_counts_.push_back(0);
+      ++feature_counts_[feature->second];
+      ++total_feature_instances_;
+      if (open != nullptr) ++open->counts[feature->second];
+    }
+    row.push_back(v);
   }
+  return row;
+}
 
+std::vector<SparseVector> PpmiCounts::take_new_vectors() {
   // Document-frequency cap: features present at nearly every position are
   // stopword-like; drop them.
-  const auto df_cap = static_cast<std::uint64_t>(
-      config.max_document_frequency * static_cast<double>(std::max<std::uint64_t>(1, total)));
-
-  VertexVectors out;
-  out.feature_instance_count = feature_ids.size();
-  out.vectors.resize(num_vertices);
-  const auto n = static_cast<double>(std::max<std::uint64_t>(1, total));
-
-  for (std::size_t v = 0; v < num_vertices; ++v) {
+  const auto n = static_cast<double>(std::max<std::uint64_t>(1, total_feature_instances_));
+  const auto df_cap = static_cast<std::uint64_t>(config_.max_document_frequency * n);
+  std::vector<SparseVector> out(open_.size());
+  for (std::size_t j = 0; j < open_.size(); ++j) {
+    const double pv = static_cast<double>(open_[j].occurrences);
     std::vector<SparseEntry> entries;
-    entries.reserve(vf[v].size());
-    const double pv = static_cast<double>(vertex_counts[v]);
-    if (pv == 0) continue;
-    for (const auto& [f, c] : vf[v]) {
-      if (feature_counts[f] > df_cap) continue;
+    entries.reserve(open_[j].counts.size());
+    for (const auto& [f, c] : open_[j].counts) {
+      if (feature_counts_[f] > df_cap) continue;
       // PMI(v, f) = log( c(v,f) * N / (c(v) * c(f)) ); keep positive terms.
       const double pmi = std::log(static_cast<double>(c) * n /
-                                  (pv * static_cast<double>(feature_counts[f])));
+                                  (pv * static_cast<double>(feature_counts_[f])));
       if (pmi > 0.0) entries.push_back({f, static_cast<float>(pmi)});
     }
-    out.vectors[v] = SparseVector(std::move(entries));
-    out.vectors[v].normalize();
+    out[j] = SparseVector(std::move(entries));
+    out[j].normalize();
   }
+  open_.clear();
+  first_open_ = static_cast<VertexId>(trigrams_.size());
+  return out;
+}
 
-  util::log_debug("vertex vectors: ", num_vertices, " vertices, ",
-                  feature_ids.size(), " feature instances (",
+void PpmiCounts::save(std::ostream& out) const {
+  out << "vertices " << trigrams_.size() << '\n';
+  for (const auto& trigram : trigrams_) out << trigram_key(trigram) << '\n';
+
+  // Feature names in id order, so load() reconstructs the name -> id map.
+  std::vector<const std::string*> names(feature_ids_.size(), nullptr);
+  for (const auto& [name, id] : feature_ids_) names[id] = &name;
+  out << "features " << names.size() << ' ' << total_feature_instances_ << '\n';
+  for (std::size_t f = 0; f < names.size(); ++f)
+    out << *names[f] << '\x1f' << feature_counts_[f] << '\n';
+}
+
+PpmiCounts PpmiCounts::load(std::istream& in, VertexFeatureConfig config) {
+  PpmiCounts counts(std::move(config));
+  std::string word;
+  std::size_t n = 0;
+  if (!(in >> word >> n) || word != "vertices")
+    throw std::runtime_error("learner snapshot: malformed vertices header");
+  // No reserve() from the header counts: storage grows only with lines
+  // actually read, so a hostile count cannot demand a huge allocation.
+  in.ignore();  // the newline ending the header line
+  std::string line;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!std::getline(in, line))
+      throw std::runtime_error("learner snapshot: truncated at vertex " +
+                               std::to_string(v));
+    const std::size_t first = line.find('\x1f');
+    const std::size_t second =
+        first == std::string::npos ? first : line.find('\x1f', first + 1);
+    if (second == std::string::npos)
+      throw std::runtime_error("learner snapshot: malformed trigram " +
+                               std::to_string(v));
+    counts.trigrams_.push_back({line.substr(0, first),
+                                line.substr(first + 1, second - first - 1),
+                                line.substr(second + 1)});
+    // The line IS trigram_key(trigram) — reuse it as the registry key.
+    counts.vertex_of_.emplace(std::move(line), static_cast<VertexId>(v));
+  }
+  counts.first_open_ = static_cast<VertexId>(n);
+
+  std::size_t n_features = 0;
+  if (!(in >> word >> n_features >> counts.total_feature_instances_) ||
+      word != "features")
+    throw std::runtime_error("learner snapshot: malformed features header");
+  in.ignore();
+  for (std::size_t f = 0; f < n_features; ++f) {
+    if (!std::getline(in, line))
+      throw std::runtime_error("learner snapshot: truncated at feature " +
+                               std::to_string(f));
+    const std::size_t sep = line.rfind('\x1f');
+    if (sep == std::string::npos)
+      throw std::runtime_error("learner snapshot: malformed feature " +
+                               std::to_string(f));
+    counts.feature_ids_.emplace(line.substr(0, sep), static_cast<std::uint32_t>(f));
+    counts.feature_counts_.push_back(std::stoull(line.substr(sep + 1)));
+  }
+  return counts;
+}
+
+VertexBuild build_vertices(const std::vector<const text::Sentence*>& sentences,
+                           const features::FeatureExtractor& extractor,
+                           const VertexFeatureConfig& config) {
+  PpmiCounts counts(config);
+  VertexBuild out;
+  out.vertices.positions.reserve(sentences.size());
+  for (const text::Sentence* sentence : sentences)
+    out.vertices.positions.push_back(counts.add(*sentence, extractor));
+  out.vectors = counts.take_new_vectors();
+  out.feature_instance_count = counts.feature_counts_.size();
+  out.vertices.trigrams = std::move(counts.trigrams_);
+  util::log_debug("vertex vectors: ", out.vectors.size(), " vertices, ",
+                  out.feature_instance_count, " feature instances (",
                   representation_name(config.representation), ")");
   return out;
 }

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/graph/trigram.hpp"
 #include "src/obs/registry.hpp"
 #include "src/obs/span.hpp"
 #include "src/util/logging.hpp"
@@ -16,19 +15,11 @@ namespace graphner::core {
 
 using propagation::LabelDistribution;
 
-namespace {
-
-[[nodiscard]] std::string key_of(const std::array<std::string, 3>& trigram) {
-  return trigram[0] + '\x1f' + trigram[1] + '\x1f' + trigram[2];
-}
-
-}  // namespace
-
 OnlineLearner::OnlineLearner(std::shared_ptr<const GraphNerModel> base,
                              OnlineLearnerConfig config)
     : base_(std::move(base)),
       config_(config),
-      feature_config_(base_->config().vertex_features),
+      counts_(base_->config().vertex_features),
       index_(base_->config().knn) {
   if (config_.mu <= 0.0) config_.mu = base_->config().propagation.mu;
   if (config_.nu <= 0.0) config_.nu = base_->config().propagation.nu;
@@ -45,13 +36,12 @@ LearnStats OnlineLearner::learn(const std::vector<text::Sentence>& batch) {
   obs::ScopedSpan span("learn.batch");
   span.attr("sentences", static_cast<std::uint64_t>(batch.size()));
   const std::size_t L = base_->labels().num_labels();
-  const std::size_t n_before = trigrams_.size();
+  const std::size_t n_before = counts_.vertex_count();
 
-  // Pass over the batch: register trigram types, accumulate cooccurrence
-  // counts (global feature counts always; per-vertex counts only for
-  // vertices new in this batch — their vectors are about to be built),
-  // and fold each position's CRF posterior into its vertex's running sum.
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> new_vf;
+  // Pass over the batch: register trigram types and count their feature
+  // cooccurrences (counts_ keeps per-vertex counts only for the vertices
+  // this batch opens — their vectors are about to be built), and fold each
+  // position's CRF posterior into its vertex's running sum.
   std::vector<graph::VertexId> touched_existing;
   crf::LinearChainCrf::Scratch scratch;
   features::EncodeScratch encode;
@@ -59,71 +49,36 @@ LearnStats OnlineLearner::learn(const std::vector<text::Sentence>& batch) {
     if (sentence.size() == 0) continue;
     const crf::SentencePosteriors posterior =
         base_->posteriors_one(sentence, scratch, encode);
-    for (std::size_t i = 0; i < sentence.size(); ++i) {
-      const auto trigram = graph::trigram_at(sentence, i);
-      const std::string key = key_of(trigram);
-      auto [slot, inserted] =
-          vertex_of_.emplace(key, static_cast<graph::VertexId>(trigrams_.size()));
-      const graph::VertexId v = slot->second;
-      if (inserted) {
-        trigrams_.push_back(trigram);
-        posterior_sum_.emplace_back(L);
-        occurrences_.push_back(0.0);
-        new_vf.emplace_back();
-      } else if (v < n_before) {
-        touched_existing.push_back(v);
-      }
-      for (const auto& name : graph::vertex_features_at(
-               sentence, i, base_->extractor(), feature_config_)) {
-        auto [fit, finserted] = feature_ids_.emplace(
-            name, static_cast<std::uint32_t>(feature_counts_.size()));
-        if (finserted) feature_counts_.push_back(0);
-        ++feature_counts_[fit->second];
-        ++total_feature_instances_;
-        if (v >= n_before) ++new_vf[v - n_before][fit->second];
-      }
+    const std::vector<graph::VertexId> row =
+        counts_.add(sentence, base_->extractor());
+    posterior_sum_.resize(counts_.vertex_count(), LabelDistribution(L));
+    occurrences_.resize(counts_.vertex_count(), 0.0);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const graph::VertexId v = row[i];
+      if (v < n_before) touched_existing.push_back(v);
       for (std::size_t y = 0; y < L; ++y)
         posterior_sum_[v][y] += posterior.tag_marginals[i][y];
       occurrences_[v] += 1.0;
     }
   }
-  const std::size_t n_new = trigrams_.size() - n_before;
-  stats.appended_vertices = n_new;
+  const std::size_t n_vertices = counts_.vertex_count();
+  stats.appended_vertices = n_vertices - n_before;
 
-  // Build PPMI vectors for the new vertices against the accumulated
-  // counts (same formula as build_vertex_vectors' pass 2) and append them
-  // to the index.
-  const auto total =
-      static_cast<double>(std::max<std::uint64_t>(1, total_feature_instances_));
-  const auto df_cap = static_cast<std::uint64_t>(
-      feature_config_.max_document_frequency * total);
-  std::vector<graph::SparseVector> new_vectors(n_new);
-  for (std::size_t j = 0; j < n_new; ++j) {
-    const double pv = occurrences_[n_before + j];
-    std::vector<graph::SparseEntry> entries;
-    entries.reserve(new_vf[j].size());
-    for (const auto& [f, c] : new_vf[j]) {
-      if (feature_counts_[f] > df_cap) continue;
-      const double pmi = std::log(static_cast<double>(c) * total /
-                                  (pv * static_cast<double>(feature_counts_[f])));
-      if (pmi > 0.0) entries.push_back({f, static_cast<float>(pmi)});
-    }
-    new_vectors[j] = graph::SparseVector(std::move(entries));
-    new_vectors[j].normalize();
-  }
+  // PPMI vectors of the new vertices against the accumulated counts, then
+  // appended to the index.
   const graph::KnnIndex::AppendResult appended =
-      index_.append(std::move(new_vectors));
+      index_.append(counts_.take_new_vectors());
   stats.patched_vertices = appended.patched.size();
 
   // Extend the propagation state. Every vertex is anchored (see header):
   // X_ref where the labelled data saw the trigram, the running posterior
   // average elsewhere.
-  x_.resize(trigrams_.size(), LabelDistribution(L));
-  x_reference_.resize(trigrams_.size(), LabelDistribution(L));
-  is_labelled_.resize(trigrams_.size(), true);
-  hand_labelled_.resize(trigrams_.size(), false);
-  for (std::size_t v = n_before; v < trigrams_.size(); ++v) {
-    const auto* ref = base_->reference().find(trigrams_[v]);
+  x_.resize(n_vertices, LabelDistribution(L));
+  x_reference_.resize(n_vertices, LabelDistribution(L));
+  is_labelled_.resize(n_vertices, true);
+  hand_labelled_.resize(n_vertices, false);
+  for (std::size_t v = n_before; v < n_vertices; ++v) {
+    const auto* ref = base_->reference().find(counts_.trigram(v));
     if (ref != nullptr && ref->size() == L) {
       x_reference_[v] = *ref;
       hand_labelled_[v] = true;
@@ -155,7 +110,7 @@ LearnStats OnlineLearner::learn(const std::vector<text::Sentence>& batch) {
       ++stats.perturbed_vertices;
     }
   }
-  for (std::size_t v = n_before; v < trigrams_.size(); ++v)
+  for (std::size_t v = n_before; v < n_vertices; ++v)
     seeds.push_back(static_cast<graph::VertexId>(v));
   seeds.insert(seeds.end(), appended.patched.begin(), appended.patched.end());
 
@@ -183,18 +138,18 @@ LearnStats OnlineLearner::learn(const std::vector<text::Sentence>& batch) {
   registry.counter("learn.sentences").inc(stats.sentences);
   registry.counter("learn.vertices_appended").inc(stats.appended_vertices);
   registry.counter("learn.relaxations").inc(stats.relaxations);
-  registry.gauge("learn.vertices").set(static_cast<double>(trigrams_.size()));
+  registry.gauge("learn.vertices").set(static_cast<double>(n_vertices));
   registry.gauge("learn.edges").set(static_cast<double>(edge_count()));
   registry.gauge("learn.residual").set(stats.final_residual);
   registry.gauge("learn.active_fraction")
-      .set(trigrams_.empty() ? 0.0
-                             : static_cast<double>(stats.active_vertices) /
-                                   static_cast<double>(trigrams_.size()));
+      .set(n_vertices == 0 ? 0.0
+                           : static_cast<double>(stats.active_vertices) /
+                                 static_cast<double>(n_vertices));
   span.attr("appended", static_cast<std::uint64_t>(stats.appended_vertices));
   span.attr("patched", static_cast<std::uint64_t>(stats.patched_vertices));
   span.attr("relaxations", static_cast<std::uint64_t>(stats.relaxations));
   util::log_info("learn: ", batch.size(), " sentences, +",
-                 stats.appended_vertices, " vertices (", trigrams_.size(),
+                 stats.appended_vertices, " vertices (", n_vertices,
                  " total), ", stats.patched_vertices, " patched, ",
                  stats.relaxations, " relaxations, residual ",
                  stats.final_residual);
@@ -206,8 +161,8 @@ void OnlineLearner::rebuild_learned_table() {
   // the labelled data never anchored — exactly the trigrams the base
   // model's blended decode has no corpus-level signal for.
   auto learned = std::make_shared<ReferenceDistributions>();
-  for (std::size_t v = 0; v < trigrams_.size(); ++v)
-    if (!hand_labelled_[v]) learned->set(trigrams_[v], x_[v]);
+  for (std::size_t v = 0; v < counts_.vertex_count(); ++v)
+    if (!hand_labelled_[v]) learned->set(counts_.trigram(v), x_[v]);
   learned_ = std::move(learned);
 }
 
@@ -219,24 +174,14 @@ void OnlineLearner::save(std::ostream& out) const {
       << config_.tolerance << ' ' << config_.anchor_tolerance << ' '
       << config_.max_relaxations << '\n';
 
-  out << "vertices " << trigrams_.size() << '\n';
-  for (const auto& trigram : trigrams_)
-    out << trigram[0] << '\x1f' << trigram[1] << '\x1f' << trigram[2] << '\n';
-
-  // Feature names in id order (feature ids are dense), so load() can
-  // reconstruct the name -> id map exactly.
-  std::vector<const std::string*> names(feature_ids_.size(), nullptr);
-  for (const auto& [name, id] : feature_ids_) names[id] = &name;
-  out << "features " << names.size() << ' ' << total_feature_instances_
-      << '\n';
-  for (std::size_t f = 0; f < names.size(); ++f)
-    out << *names[f] << '\x1f' << feature_counts_[f] << '\n';
+  counts_.save(out);
 
   // Column count per vertex follows the base model's label inventory; the
   // loader re-derives it from the (fingerprint-checked) base model.
   const std::size_t L = base_->labels().num_labels();
-  out << "state " << trigrams_.size() << '\n';
-  for (std::size_t v = 0; v < trigrams_.size(); ++v) {
+  const std::size_t n = counts_.vertex_count();
+  out << "state " << n << '\n';
+  for (std::size_t v = 0; v < n; ++v) {
     out << (hand_labelled_[v] ? 1 : 0) << ' ' << occurrences_[v];
     for (std::size_t y = 0; y < L; ++y) out << ' ' << posterior_sum_[v][y];
     for (std::size_t y = 0; y < L; ++y) out << ' ' << x_[v][y];
@@ -269,47 +214,9 @@ OnlineLearner OnlineLearner::load(std::istream& in,
     throw std::runtime_error("learner snapshot: malformed config line");
   OnlineLearner learner(std::move(base), config);
 
-  std::size_t n = 0;
-  if (!(in >> word >> n) || word != "vertices")
-    throw std::runtime_error("learner snapshot: malformed vertices header");
-  in.ignore();  // the newline ending the header line
-  learner.trigrams_.reserve(n);
-  std::string line;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!std::getline(in, line))
-      throw std::runtime_error("learner snapshot: truncated at vertex " +
-                               std::to_string(v));
-    const std::size_t first = line.find('\x1f');
-    const std::size_t second =
-        first == std::string::npos ? first : line.find('\x1f', first + 1);
-    if (second == std::string::npos)
-      throw std::runtime_error("learner snapshot: malformed trigram " +
-                               std::to_string(v));
-    // The line IS key_of(trigram) — reuse it as the registry key.
-    learner.vertex_of_.emplace(line, static_cast<graph::VertexId>(v));
-    learner.trigrams_.push_back({line.substr(0, first),
-                                 line.substr(first + 1, second - first - 1),
-                                 line.substr(second + 1)});
-  }
-
-  std::size_t n_features = 0;
-  if (!(in >> word >> n_features >> learner.total_feature_instances_) ||
-      word != "features")
-    throw std::runtime_error("learner snapshot: malformed features header");
-  in.ignore();
-  learner.feature_counts_.reserve(n_features);
-  for (std::size_t f = 0; f < n_features; ++f) {
-    if (!std::getline(in, line))
-      throw std::runtime_error("learner snapshot: truncated at feature " +
-                               std::to_string(f));
-    const std::size_t sep = line.rfind('\x1f');
-    if (sep == std::string::npos)
-      throw std::runtime_error("learner snapshot: malformed feature " +
-                               std::to_string(f));
-    learner.feature_ids_.emplace(line.substr(0, sep),
-                                 static_cast<std::uint32_t>(f));
-    learner.feature_counts_.push_back(std::stoull(line.substr(sep + 1)));
-  }
+  learner.counts_ =
+      graph::PpmiCounts::load(in, learner.base_->config().vertex_features);
+  const std::size_t n = learner.counts_.vertex_count();
 
   std::size_t n_state = 0;
   if (!(in >> word >> n_state) || word != "state" || n_state != n)

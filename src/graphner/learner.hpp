@@ -2,15 +2,16 @@
 //
 // The serving-tier analogue of the transductive TEST procedure, run
 // incrementally (DESIGN.md §12). The learner owns the corpus-level state a
-// batch pipeline throws away after every run — the trigram vertex registry,
-// the PPMI cooccurrence counts, the k-NN posting index (graph::KnnIndex)
-// and the propagated label distributions — so absorbing a batch of
-// sentences costs work proportional to the batch's neighbourhood, not to
-// the corpus:
+// batch pipeline throws away after every run — the trigram registry and
+// PPMI cooccurrence counts (graph::PpmiCounts, the same counter the batch
+// graph build uses), the k-NN posting index (graph::KnnIndex) and the
+// propagated label distributions — so absorbing a batch of sentences costs
+// work proportional to the batch's neighbourhood, not to the corpus:
 //
-//   1. new trigram types become vertices; their PPMI vectors are built
-//      from the *accumulated* cooccurrence counts and appended to the
-//      index (exact forward edges + reverse patches);
+//   1. new trigram types become vertices; PpmiCounts::take_new_vectors()
+//      builds their PPMI vectors from the *accumulated* cooccurrence
+//      counts and they are appended to the index (exact forward edges +
+//      reverse patches);
 //   2. every vertex is anchored: hand-labelled trigrams by the model's
 //      X_ref, the rest by their running averaged CRF posterior — the
 //      incremental analogue of Algorithm 1 line 6, moved into the
@@ -25,15 +26,14 @@
 //      decode cache.
 //
 // Documented approximation: a vertex's PPMI vector is frozen at the counts
-// seen when it first appeared (later occurrences update global feature
-// counts and the vertex's posterior anchor, not its vector). That is the
-// standard incremental-index trade; the bench gates its accuracy cost.
+// of the batch that first saw it — take_new_vectors() closes the vertex,
+// so later occurrences update global feature counts and the vertex's
+// posterior anchor, not its vector. That is the standard incremental-index
+// trade; the bench gates its accuracy cost. A single learn() over a batch
+// yields exactly the vectors graph::build_vertices gives for that batch.
 #pragma once
 
-#include <array>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/graph/knn_index.hpp"
@@ -83,7 +83,7 @@ class OnlineLearner {
   [[nodiscard]] std::shared_ptr<const GraphNerModel> snapshot_model() const;
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {
-    return trigrams_.size();
+    return counts_.vertex_count();
   }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return index_.graph().edge_count();
@@ -105,11 +105,12 @@ class OnlineLearner {
   [[nodiscard]] const graph::KnnIndex& index() const noexcept { return index_; }
   [[nodiscard]] const GraphNerModel& base() const noexcept { return *base_; }
 
-  /// Full-state text serialization (DESIGN.md §13): trigram registry, PPMI
-  /// cooccurrence counts, per-vertex propagation state and the embedded
-  /// k-NN index (vectors, edges and the transpose lists verbatim — their
-  /// within-list order drives relaxation order, hence floating-point
-  /// summation order, and must survive a restart bit-for-bit). Doubles are
+  /// Full-state text serialization (DESIGN.md §13): trigram registry and
+  /// PPMI cooccurrence counts (graph::PpmiCounts::save), per-vertex
+  /// propagation state and the embedded k-NN index (vectors, edges and the
+  /// transpose lists verbatim — their within-list order drives relaxation
+  /// order, hence floating-point summation order, and must survive a
+  /// restart bit-for-bit). Doubles are
   /// written at precision 17 and floats at 10, which round-trips exactly,
   /// so a load()ed learner that absorbs the same batches as the original
   /// reaches bit-identical state — the property WAL replay relies on.
@@ -127,18 +128,9 @@ class OnlineLearner {
 
   std::shared_ptr<const GraphNerModel> base_;
   OnlineLearnerConfig config_;
-  graph::VertexFeatureConfig feature_config_;
-
-  // Trigram type registry (vertex ids are dense, append-only).
-  std::unordered_map<std::string, graph::VertexId> vertex_of_;
-  std::vector<std::array<std::string, 3>> trigrams_;
-
-  // Accumulated PPMI cooccurrence statistics (mirrors build_vertex_vectors'
-  // pass 1, kept alive across batches).
-  std::unordered_map<std::string, std::uint32_t> feature_ids_;
-  std::vector<std::uint64_t> feature_counts_;
-  std::uint64_t total_feature_instances_ = 0;
-
+  // Trigram registry and accumulated PPMI cooccurrence statistics, kept
+  // alive across batches (vertex ids are dense, append-only).
+  graph::PpmiCounts counts_;
   graph::KnnIndex index_;
 
   // Per-vertex propagation state. is_labelled is implicitly all-true (see

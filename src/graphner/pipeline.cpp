@@ -412,12 +412,12 @@ GraphNerModel::TestContext GraphNerModel::prepare(
 
   // ---- Graph construction (vertices over D_l u D_u + PPMI k-NN graph).
   obs::ScopedSpan graph_span("test.graph_construction");
-  context.vertices = graph::build_trigram_vertices(labelled, unlabelled_side);
-  graph::VertexVectors vectors = graph::build_vertex_vectors(
-      context.vertices, all, *extractor_, config_.vertex_features);
+  graph::VertexBuild build =
+      graph::build_vertices(all, *extractor_, config_.vertex_features);
+  context.vertices = std::move(build.vertices);
   // Moved in: the one-shot build would otherwise hold a second full copy
   // of the PPMI vectors inside the scoring index.
-  context.knn = graph::build_knn_graph(std::move(vectors.vectors), config_.knn);
+  context.knn = graph::build_knn_graph(std::move(build.vectors), config_.knn);
   context.timings.graph_construction_seconds = graph_span.close();
 
   // ---- Line 6: X <- Average(P_s, V).

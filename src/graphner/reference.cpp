@@ -11,10 +11,6 @@
 
 namespace graphner::core {
 
-std::string ReferenceDistributions::key_of(const std::array<std::string, 3>& trigram) {
-  return trigram[0] + '\x1f' + trigram[1] + '\x1f' + trigram[2];
-}
-
 ReferenceDistributions ReferenceDistributions::build(
     const std::vector<text::Sentence>& labelled, const text::LabelSet& labels) {
   ReferenceDistributions out;
@@ -23,7 +19,7 @@ ReferenceDistributions ReferenceDistributions::build(
   for (const auto& sentence : labelled) {
     assert(sentence.has_tags());
     for (std::size_t i = 0; i < sentence.size(); ++i) {
-      const std::string key = key_of(graph::trigram_at(sentence, i));
+      const std::string key = graph::trigram_key(graph::trigram_at(sentence, i));
       auto& dist =
           out.table_.try_emplace(key, propagation::LabelDistribution(L))
               .first->second;
@@ -40,7 +36,7 @@ ReferenceDistributions ReferenceDistributions::build(
 
 const propagation::LabelDistribution* ReferenceDistributions::find(
     const std::array<std::string, 3>& trigram) const {
-  const auto it = table_.find(key_of(trigram));
+  const auto it = table_.find(graph::trigram_key(trigram));
   return it == table_.end() ? nullptr : &it->second;
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/graph/trigram.hpp"
 #include "src/propagation/propagation.hpp"
 #include "src/text/label_set.hpp"
 #include "src/text/sentence.hpp"
@@ -37,7 +38,7 @@ class ReferenceDistributions {
   /// propagated distributions for previously unseen trigrams this way.
   void set(const std::array<std::string, 3>& trigram,
            const propagation::LabelDistribution& dist) {
-    table_[key_of(trigram)] = dist;
+    table_[graph::trigram_key(trigram)] = dist;
   }
 
   /// Order-independent FNV-1a digest of the table's content. Mixed into the
@@ -55,8 +56,6 @@ class ReferenceDistributions {
   static ReferenceDistributions load(std::istream& in);
 
  private:
-  static std::string key_of(const std::array<std::string, 3>& trigram);
-
   std::unordered_map<std::string, propagation::LabelDistribution> table_;
 };
 

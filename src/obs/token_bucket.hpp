@@ -9,7 +9,8 @@
 //     admits exactly N requests and then rejects every one after — the
 //     chaos smokes assert exact counts without racing a clock.
 //   - Unlimited by default: a default-constructed bucket admits
-//     everything, so tenants only pay the mutex once a quota is set.
+//     everything with one atomic load, so tenants only pay the mutex once
+//     a quota is set (the flag is re-checked under the mutex).
 //
 // Refill is computed lazily from the monotonic clock on each acquire (no
 // background thread), capped at `burst` so idle time never banks more
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <utility>
@@ -36,19 +38,20 @@ class TokenBucket {
     burst_ = std::max(0.0, burst);
     tokens_ = burst_;
     last_refill_ = Clock::now();
-    limited_ = true;
+    limited_.store(true, std::memory_order_release);
   }
 
   /// Drop the quota; the bucket admits everything again.
   void remove() {
     std::lock_guard<std::mutex> lock(mutex_);
-    limited_ = false;
+    limited_.store(false, std::memory_order_release);
   }
 
   /// Spend one token. False = quota exhausted, reject the request.
   [[nodiscard]] bool try_acquire() {
+    if (!limited_.load(std::memory_order_acquire)) return true;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!limited_) return true;
+    if (!limited_.load(std::memory_order_relaxed)) return true;
     const Clock::time_point now = Clock::now();
     const double elapsed =
         std::chrono::duration<double>(now - last_refill_).count();
@@ -60,21 +63,22 @@ class TokenBucket {
   }
 
   [[nodiscard]] bool limited() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return limited_;
+    return limited_.load(std::memory_order_acquire);
   }
   /// The configured shape, for "model list" reporting (0/0 if unlimited).
   [[nodiscard]] std::pair<double, double> shape() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return limited_ ? std::pair<double, double>{rate_, burst_}
-                    : std::pair<double, double>{0.0, 0.0};
+    return limited_.load(std::memory_order_relaxed)
+               ? std::pair<double, double>{rate_, burst_}
+               : std::pair<double, double>{0.0, 0.0};
   }
 
  private:
   using Clock = std::chrono::steady_clock;
 
   mutable std::mutex mutex_;
-  bool limited_ = false;
+  /// Written only under mutex_; read lock-free on the acquire fast path.
+  std::atomic<bool> limited_{false};
   double rate_ = 0.0;
   double burst_ = 0.0;
   double tokens_ = 0.0;

@@ -31,7 +31,8 @@ Tenant::Tenant(std::string tenant_name, std::string replica_prefix,
     replicas.push_back(std::make_unique<InProcessReplica>(model, service));
   if (health.probe_interval.count() > 0)
     supervisor =
-        std::make_unique<HealthSupervisor>(health, replicas, breakers, registry);
+        std::make_unique<HealthSupervisor>(name, health, replicas, breakers,
+                                           registry);
 }
 
 void Tenant::stop() {

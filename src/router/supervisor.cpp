@@ -7,10 +7,11 @@
 namespace graphner::router {
 
 HealthSupervisor::HealthSupervisor(
-    SupervisorConfig config,
+    std::string tenant, SupervisorConfig config,
     std::vector<std::unique_ptr<ReplicaHandle>>& replicas,
     BreakerBoard& breakers, obs::Registry& registry)
-    : config_(config),
+    : tenant_(std::move(tenant)),
+      config_(config),
       replicas_(replicas),
       breakers_(breakers),
       probes_(registry.counter("router.health.probes")),
@@ -96,7 +97,7 @@ void HealthSupervisor::probe_all() {
       if (!replicas_[i]->healthy()) {
         replicas_[i]->revive();
         revives_.inc();
-        util::log_info("supervisor: revived replica ", i,
+        util::log_info("supervisor[", tenant_, "]: revived replica ", i,
                        " for half-open probe");
       }
       if (probe(*replicas_[i])) {
@@ -104,7 +105,7 @@ void HealthSupervisor::probe_all() {
         breaker_closes_.inc();
         state.consecutive_failures = 0;
         state.backoff.reset();
-        util::log_info("supervisor: breaker closed for replica ", i);
+        util::log_info("supervisor[", tenant_, "]: breaker closed for replica ", i);
       } else {
         if (!state.backoff.can_retry()) state.backoff.reset();
         state.next_probe =
@@ -122,7 +123,7 @@ void HealthSupervisor::probe_all() {
       state.backoff.reset();
       state.next_probe =
           std::chrono::steady_clock::now() + state.backoff.next_delay();
-      util::log_warn("supervisor: breaker OPEN for replica ", i, " after ",
+      util::log_warn("supervisor[", tenant_, "]: breaker OPEN for replica ", i, " after ",
                      state.consecutive_failures, " consecutive probe failures");
     }
   }

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -97,7 +98,8 @@ class HealthSupervisor {
  public:
   /// Starts the probe thread immediately. `replicas` and `breakers` must
   /// outlive the supervisor; stop() (or destruction) joins the thread.
-  HealthSupervisor(SupervisorConfig config,
+  /// `tenant` names the pool in every log line ("supervisor[<tenant>]: …").
+  HealthSupervisor(std::string tenant, SupervisorConfig config,
                    std::vector<std::unique_ptr<ReplicaHandle>>& replicas,
                    BreakerBoard& breakers, obs::Registry& registry);
   ~HealthSupervisor();
@@ -128,6 +130,7 @@ class HealthSupervisor {
   /// probe_all() directly may not touch states_ concurrently.
   std::mutex probe_mutex_;
 
+  std::string tenant_;
   SupervisorConfig config_;
   std::vector<std::unique_ptr<ReplicaHandle>>& replicas_;
   BreakerBoard& breakers_;

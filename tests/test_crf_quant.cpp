@@ -258,7 +258,7 @@ TEST(PrunedOptions, PredicatesAndParsing) {
   EXPECT_EQ(parse_quantization("off"), Quantization::kFloat);
   EXPECT_EQ(parse_quantization("float"), Quantization::kFloat);
   EXPECT_EQ(parse_quantization("int8"), Quantization::kInt8);
-  EXPECT_THROW(parse_quantization("int4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_quantization("int4"), std::invalid_argument);
   // The deleted int16 table is refused by name, not silently downgraded.
   try {
     (void)parse_quantization("int16");

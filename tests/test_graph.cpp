@@ -34,10 +34,14 @@ TEST(Trigram, PaddingAndLowercasing) {
 }
 
 TEST(Trigram, VerticesAreTypesPositionsAreTokens) {
-  const std::vector<text::Sentence> train = {
-      make_sentence("a", {"x", "y", "z"}), make_sentence("b", {"x", "y", "z"})};
-  const std::vector<text::Sentence> test = {make_sentence("c", {"x", "y", "w"})};
-  const auto vertices = build_trigram_vertices(train, test);
+  const std::vector<text::Sentence> sentences = {
+      make_sentence("a", {"x", "y", "z"}), make_sentence("b", {"x", "y", "z"}),
+      make_sentence("c", {"x", "y", "w"})};
+  const std::vector<const text::Sentence*> all = {&sentences[0], &sentences[1],
+                                                  &sentences[2]};
+  const features::FeatureExtractor extractor{features::FeatureConfig{}};
+  const auto vertices =
+      build_vertices(all, extractor, VertexFeatureConfig{}).vertices;
   EXPECT_EQ(vertices.positions.size(), 3U);
   EXPECT_EQ(vertices.token_count(), 9U);
   // Sentences a and b are identical: same vertex ids at every position.
@@ -45,7 +49,8 @@ TEST(Trigram, VerticesAreTypesPositionsAreTokens) {
   // Sentence c shares the first trigram type [<s> x y] with a.
   EXPECT_EQ(vertices.positions[2][0], vertices.positions[0][0]);
   EXPECT_LT(vertices.vertex_count(), 9U);
-  EXPECT_EQ(vertices.train_sentence_count, 2U);
+  // Ids are dense in first-seen order: sentence a introduces 0, 1, 2.
+  EXPECT_EQ(vertices.positions[0], (std::vector<VertexId>{0, 1, 2}));
 }
 
 TEST(SparseVectorTest, DotAndCosine) {
@@ -367,14 +372,11 @@ TEST(VertexVectors, BuildsUnitVectors) {
   const std::vector<text::Sentence> train = {
       make_sentence("a", {"the", "flt3", "gene", "was", "mutated"}),
       make_sentence("b", {"the", "npm1", "gene", "was", "mutated"})};
-  const std::vector<text::Sentence> test;
-  const auto vertices = build_trigram_vertices(train, test);
   std::vector<const text::Sentence*> all = {&train[0], &train[1]};
   const features::FeatureExtractor extractor{features::FeatureConfig{}};
-  const auto vectors =
-      build_vertex_vectors(vertices, all, extractor, VertexFeatureConfig{});
-  ASSERT_EQ(vectors.vectors.size(), vertices.vertex_count());
-  for (const auto& v : vectors.vectors)
+  const auto build = build_vertices(all, extractor, VertexFeatureConfig{});
+  ASSERT_EQ(build.vectors.size(), build.vertices.vertex_count());
+  for (const auto& v : build.vectors)
     if (v.nnz() > 0) { EXPECT_NEAR(v.norm(), 1.0, 1e-5); }
 }
 
@@ -384,30 +386,26 @@ TEST(VertexVectors, SharedContextTrigramsAreSimilar) {
   const std::vector<text::Sentence> train = {
       make_sentence("a", {"the", "flt3", "gene", "was", "mutated"}),
       make_sentence("b", {"the", "npm1", "gene", "was", "mutated"})};
-  const auto vertices = build_trigram_vertices(train, {});
   std::vector<const text::Sentence*> all = {&train[0], &train[1]};
   const features::FeatureExtractor extractor{features::FeatureConfig{}};
-  const auto vectors =
-      build_vertex_vectors(vertices, all, extractor, VertexFeatureConfig{});
+  const auto build = build_vertices(all, extractor, VertexFeatureConfig{});
 
-  const VertexId flt3 = vertices.positions[0][1];
-  const VertexId npm1 = vertices.positions[1][1];
-  const VertexId mutated = vertices.positions[0][4];
-  EXPECT_GT(vectors.vectors[flt3].cosine(vectors.vectors[npm1]),
-            vectors.vectors[flt3].cosine(vectors.vectors[mutated]));
+  const VertexId flt3 = build.vertices.positions[0][1];
+  const VertexId npm1 = build.vertices.positions[1][1];
+  const VertexId mutated = build.vertices.positions[0][4];
+  EXPECT_GT(build.vectors[flt3].cosine(build.vectors[npm1]),
+            build.vectors[flt3].cosine(build.vectors[mutated]));
 }
 
 TEST(VertexVectors, LexicalRepresentationIsSmaller) {
   const std::vector<text::Sentence> train = {
       make_sentence("a", {"the", "flt3", "gene", "was", "mutated"})};
-  const auto vertices = build_trigram_vertices(train, {});
   std::vector<const text::Sentence*> all = {&train[0]};
   const features::FeatureExtractor extractor{features::FeatureConfig{}};
   VertexFeatureConfig lexical;
   lexical.representation = VertexRepresentation::kLexical;
-  const auto lex = build_vertex_vectors(vertices, all, extractor, lexical);
-  const auto full =
-      build_vertex_vectors(vertices, all, extractor, VertexFeatureConfig{});
+  const auto lex = build_vertices(all, extractor, lexical);
+  const auto full = build_vertices(all, extractor, VertexFeatureConfig{});
   EXPECT_LT(lex.feature_instance_count, full.feature_instance_count);
 }
 

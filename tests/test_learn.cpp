@@ -7,9 +7,15 @@
 // on each side; LearnLog recovers byte-identical state from snapshot +
 // WAL replay (quarantined sequences skipped); the router's canary gate,
 // rollback verb, file-size cap and WAL-backed restart.
+//
+// One PPMI builder: a single learn() over a batch yields, bit for bit, the
+// vectors graph::build_vertices gives for the same sentences, and the
+// committed graphner-learner v1 fixtures in tests/data reload, re-save and
+// keep learning byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -17,11 +23,13 @@
 #include <vector>
 
 #include "src/corpus/generator.hpp"
+#include "src/graph/vertex_features.hpp"
 #include "src/graphner/learner.hpp"
 #include "src/obs/registry.hpp"
 #include "src/router/learn_log.hpp"
 #include "src/router/router.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/util/parallel.hpp"
 
 namespace graphner::core {
 namespace {
@@ -240,6 +248,97 @@ TEST_F(LearnTier, SnapshotRoundTripStaysBitIdenticalAcrossSeeds) {
     EXPECT_EQ(serialized(restored), serialized(original)) << "seed " << seed;
     EXPECT_EQ(restored.snapshot_model()->fingerprint(),
               original.snapshot_model()->fingerprint());
+  }
+}
+
+TEST_F(LearnTier, SingleBatchLearnerVectorsEqualBatchBuild) {
+  // Every vertex opened by one learn() is closed by the same
+  // take_new_vectors() call a batch build makes, so the incremental and
+  // batch vectors are the same formula over the same counts.
+  const std::vector<text::Sentence>& batch = *sentences_;
+  OnlineLearner learner(*model_);
+  (void)learner.learn(batch);
+  std::vector<const text::Sentence*> all;
+  for (const auto& sentence : batch) all.push_back(&sentence);
+  const graph::VertexBuild build = graph::build_vertices(
+      all, (*model_)->extractor(), (*model_)->config().vertex_features);
+
+  const auto& online = learner.index().vectors();
+  ASSERT_EQ(online.size(), build.vectors.size());
+  ASSERT_EQ(learner.vertex_count(), build.vertices.vertex_count());
+  std::size_t nnz = 0;
+  for (std::size_t v = 0; v < online.size(); ++v) {
+    const auto& a = online[v].entries();
+    const auto& b = build.vectors[v].entries();
+    ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a[e].index, b[e].index) << "vertex " << v << " entry " << e;
+      EXPECT_EQ(std::memcmp(&a[e].value, &b[e].value, sizeof(float)), 0)
+          << "vertex " << v << " entry " << e;
+    }
+    nnz += a.size();
+  }
+  EXPECT_GT(nnz, 0U);
+}
+
+/// Whole file as bytes.
+[[nodiscard]] std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(LearnSnapshotFixture, V1FixturesReloadResaveAndLearnByteForByte) {
+  // tests/data/learner_v1_after{4,5}.snapshot were written by the previous
+  // learner implementation: a learner over the bc2gm_like_spec(0.05, 7)
+  // base model absorbed stripped test sentences 0-3 in one learn() call
+  // (after4), then sentence 4 (after5). The base model is trained with one
+  // util worker, because the CRF's parallel gradient sum — hence the
+  // fingerprint the snapshot is bound to — depends on the worker count.
+  struct ThreadGuard {
+    int before = util::num_threads();
+    ~ThreadGuard() { util::set_num_threads(before); }
+  } guard;
+  util::set_num_threads(1);
+  const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(0.05, 7));
+  const auto model = std::make_shared<const GraphNerModel>(
+      GraphNerModel::train(data.train, {}, GraphNerConfig{}));
+  const std::string dir = GRAPHNER_TEST_DATA_DIR;
+  const std::string after4 = read_file(dir + "/learner_v1_after4.snapshot");
+  const std::string after5 = read_file(dir + "/learner_v1_after5.snapshot");
+  ASSERT_FALSE(after4.empty());
+  ASSERT_FALSE(after5.empty());
+
+  std::istringstream in(after4);
+  OnlineLearner learner = OnlineLearner::load(in, model);
+  EXPECT_EQ(learner.vertex_count(), 41U);
+  // Raw comparisons: a failing EXPECT_EQ would print 40 KiB of snapshot.
+  EXPECT_TRUE(serialized(learner) == after4) << "re-save differs";
+
+  text::Sentence fifth;
+  fifth.id = data.test[4].id;
+  fifth.tokens = data.test[4].tokens;
+  (void)learner.learn({fifth});
+  EXPECT_TRUE(serialized(learner) == after5) << "post-learn save differs";
+}
+
+TEST_F(LearnTier, SnapshotSectionCountsCannotForceHugeAllocations) {
+  OnlineLearner learner(*model_);
+  (void)learner.learn(slice(0, 3));
+  const std::string bytes = serialized(learner);
+  // A count far beyond the lines present must fail as a malformed
+  // section, not as a failed multi-gigabyte allocation.
+  for (const std::string section : {"\nvertices ", "\nfeatures "}) {
+    const std::size_t at = bytes.find(section);
+    ASSERT_NE(at, std::string::npos) << section;
+    const std::size_t count_end = bytes.find_first_of(" \n", at + section.size());
+    std::string hostile = bytes;
+    hostile.replace(at + section.size(), count_end - at - section.size(), "300000000");
+    std::istringstream in(hostile);
+    EXPECT_THROW((void)OnlineLearner::load(in, *model_), std::runtime_error)
+        << section;
   }
 }
 

@@ -133,8 +133,9 @@ TEST(JnlpbaCorpus, GeneratesAllFiveTypesWithLegalTagSequences) {
       for (std::size_t i = 0; i < sentence.tags.size(); ++i) {
         const text::Tag tag = sentence.tags[i];
         ASSERT_LT(static_cast<std::size_t>(tag), labels.num_labels());
-        if (i > 0)
+        if (i > 0) {
           ASSERT_FALSE(labels.is_illegal_transition(sentence.tags[i - 1], tag));
+        }
         if (labels.is_begin(tag)) ++mentions_per_type[labels.type_of(tag)];
       }
     }

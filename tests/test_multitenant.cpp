@@ -19,6 +19,7 @@
 #include "src/serve/protocol.hpp"
 #include "src/serve/service.hpp"
 #include "src/serve/socket_server.hpp"
+#include "src/util/logging.hpp"
 
 namespace graphner {
 namespace {
@@ -511,6 +512,14 @@ TEST_F(TenantTier, AddedTenantReplicaIsProbedBreakerOpensAndRevives) {
   ASSERT_NE(tenant, nullptr);
   ASSERT_NE(tenant->supervisor, nullptr);
 
+  // Every supervisor log line names the tenant whose pool it watches.
+  const util::LogLevel level_before = util::log_level();
+  std::vector<std::string> lines;  // appended under the logger's sink mutex
+  util::set_log_level(util::LogLevel::kInfo);
+  util::set_log_sink([&lines](util::LogLevel, std::string_view message) {
+    lines.emplace_back(message);
+  });
+
   tenant->replicas[0]->kill();
   tenant->supervisor->probe_all();  // failure 1 of 2: breaker still closed
   EXPECT_FALSE(tenant->breakers.is_open(0));
@@ -534,6 +543,17 @@ TEST_F(TenantTier, AddedTenantReplicaIsProbedBreakerOpensAndRevives) {
   tenant->supervisor->probe_all();
   EXPECT_TRUE(tenant->replicas[0]->healthy());
   EXPECT_FALSE(tenant->breakers.is_open(0));
+
+  util::set_log_sink(nullptr);  // restore the stderr default
+  util::set_log_level(level_before);
+  bool saw_open = false;
+  for (const auto& line : lines) {
+    if (line.find("supervisor[jnlpba]: breaker OPEN for replica 0") !=
+        std::string::npos)
+      saw_open = true;
+    EXPECT_EQ(line.find("default"), std::string::npos) << line;
+  }
+  EXPECT_TRUE(saw_open);
 
   const auto snapshot = router.observability_snapshot();
   EXPECT_EQ(snapshot.counter_value("router.health.breaker_opens"), 1U);

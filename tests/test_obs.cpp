@@ -1,8 +1,9 @@
 // Tests for the observability layer (src/obs): sharded counters, gauges,
 // log-domain histograms, the named-instrument registry, trace spans with
-// nesting + capture, and the three exporters. The concurrent cases double
-// as the TSAN targets for snapshot-vs-writer races (CI runs every Obs*
-// test under ThreadSanitizer).
+// nesting + capture, the three exporters and the token bucket. The
+// concurrent cases double as the TSAN targets for snapshot-vs-writer and
+// quota-toggle-vs-acquire races (CI runs every Obs* test under
+// ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "src/obs/export.hpp"
 #include "src/obs/registry.hpp"
 #include "src/obs/span.hpp"
+#include "src/obs/token_bucket.hpp"
 #include "src/util/logging.hpp"
 
 namespace graphner {
@@ -359,6 +361,44 @@ TEST(ObsLoggingTest, DebugSinkSeesSpanOpenAndCloseLines) {
   }
   EXPECT_TRUE(saw_open);
   EXPECT_TRUE(saw_close);
+}
+
+TEST(ObsTokenBucket, ConfigureRemoveRaceWithAcquire) {
+  constexpr int kBurst = 64;
+  constexpr int kAcquirers = 4;
+  obs::TokenBucket bucket;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> acquirers;
+  for (int t = 0; t < kAcquirers; ++t)
+    acquirers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) (void)bucket.try_acquire();
+    });
+  std::thread toggler([&] {
+    for (int round = 0; round < 500; ++round) {
+      bucket.configure(0.0, kBurst);
+      bucket.remove();
+    }
+  });
+  toggler.join();
+  stop.store(true);
+  for (auto& thread : acquirers) thread.join();
+
+  // The toggler's last call was remove(): the bucket admits everything.
+  EXPECT_FALSE(bucket.limited());
+  for (int i = 0; i < 10 * kBurst; ++i) ASSERT_TRUE(bucket.try_acquire());
+
+  // A final configure(0, N) admits exactly N, however the acquirers race.
+  bucket.configure(0.0, kBurst);
+  std::atomic<int> admitted{0};
+  acquirers.clear();
+  for (int t = 0; t < kAcquirers; ++t)
+    acquirers.emplace_back([&] {
+      for (int i = 0; i < kBurst; ++i)
+        if (bucket.try_acquire()) admitted.fetch_add(1);
+    });
+  for (auto& thread : acquirers) thread.join();
+  EXPECT_EQ(admitted.load(), kBurst);
+  EXPECT_FALSE(bucket.try_acquire());
 }
 
 }  // namespace
