@@ -161,7 +161,7 @@ LevelResult run_level(const core::GraphNerModel& model,
   result.p50_ms = quantile_ms(merged, 0.50);
   result.p95_ms = quantile_ms(merged, 0.95);
   result.p99_ms = quantile_ms(merged, 0.99);
-  result.mean_batch = snapshot.mean_batch_size();
+  result.mean_batch = snapshot.histogram("batch_size").mean();
   result.coalesced_fraction =
       merged.empty() ? 0.0
                      : static_cast<double>(coalesced.load()) /

@@ -162,8 +162,9 @@ void GraphNerModel::load_head(std::istream& in, GraphNerModel& model) {
   std::size_t label_count = 0;
   if (!(in >> label_count))
     throw std::runtime_error("model file: missing label count");
+  // The count is untrusted until the names behind it are read, so the
+  // table grows per name and is never sized from it.
   std::vector<std::string> label_names;
-  label_names.reserve(label_count);
   for (std::size_t i = 0; i < label_count; ++i) {
     std::string name;
     if (!(in >> name))

@@ -279,8 +279,9 @@ GraphNerModel GraphNerModel::load_mmap_file(const std::string& path) {
   std::size_t label_count = 0;
   if (!(labels_in >> label_count))
     throw std::runtime_error("mmap model file: labels section missing count");
+  // The count is untrusted until the names behind it are read, so the
+  // table grows per name and is never sized from it.
   std::vector<std::string> label_names;
-  label_names.reserve(label_count);
   for (std::size_t i = 0; i < label_count; ++i) {
     std::string name;
     if (!(labels_in >> name))

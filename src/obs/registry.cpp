@@ -89,11 +89,53 @@ void RegistrySnapshot::append(const RegistrySnapshot& other,
     histograms.push_back({prefix + h.name, h.labels, h.data});
 }
 
+namespace {
+
+/// Fold each sample of `from` into the sample of `into` with the same
+/// (name, labels), or append it when there is none.
+template <typename Sample, typename Fold>
+void merge_samples(std::vector<Sample>& into, const std::vector<Sample>& from,
+                   Fold fold) {
+  for (const auto& sample : from) {
+    const auto same = [&](const Sample& existing) {
+      return existing.name == sample.name && existing.labels == sample.labels;
+    };
+    if (const auto it = std::find_if(into.begin(), into.end(), same);
+        it != into.end())
+      fold(*it, sample);
+    else
+      into.push_back(sample);
+  }
+}
+
+}  // namespace
+
+void RegistrySnapshot::merge(const RegistrySnapshot& other) {
+  merge_samples(counters, other.counters,
+                [](CounterSample& into, const CounterSample& from) {
+                  into.value += from.value;
+                });
+  merge_samples(gauges, other.gauges,
+                [](GaugeSample& into, const GaugeSample& from) {
+                  into.value = from.value;  // newer observation wins
+                });
+  merge_samples(histograms, other.histograms,
+                [](HistogramSample& into, const HistogramSample& from) {
+                  into.data.merge(from.data);
+                });
+}
+
 std::uint64_t RegistrySnapshot::counter_value(
     const std::string& name) const noexcept {
   for (const auto& c : counters)
     if (c.name == name) return c.value;
   return 0;
+}
+
+Histogram::Snapshot RegistrySnapshot::histogram(const std::string& name) const {
+  for (const auto& h : histograms)
+    if (h.name == name) return h.data;
+  return {};
 }
 
 // --- Registry ---------------------------------------------------------------

@@ -196,8 +196,18 @@ struct RegistrySnapshot {
   /// "serve.*" next to the process-global instruments.
   void append(const RegistrySnapshot& other, const std::string& prefix = "");
 
+  /// Fold `other` into this snapshot by (name, labels): counters add,
+  /// gauges take `other`'s (newer) value, histograms merge bucket-wise
+  /// (std::invalid_argument on a layout mismatch). Samples new to this
+  /// snapshot are appended in `other`'s order, so repeated folds keep the
+  /// first-seen order. This is what keeps a replica's metrics monotone
+  /// across the services it retires.
+  void merge(const RegistrySnapshot& other);
+
   /// Value of a counter by (exact) name; 0 when absent.
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const noexcept;
+  /// Histogram by (exact) name; an empty snapshot when absent.
+  [[nodiscard]] Histogram::Snapshot histogram(const std::string& name) const;
 };
 
 /// Named-instrument registry. Instruments are created on first lookup and

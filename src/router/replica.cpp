@@ -6,44 +6,6 @@
 
 namespace graphner::router {
 
-void merge_snapshot(obs::RegistrySnapshot& into,
-                    const obs::RegistrySnapshot& from) {
-  for (const auto& counter : from.counters) {
-    bool merged = false;
-    for (auto& existing : into.counters) {
-      if (existing.name == counter.name && existing.labels == counter.labels) {
-        existing.value += counter.value;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) into.counters.push_back(counter);
-  }
-  for (const auto& gauge : from.gauges) {
-    bool replaced = false;
-    for (auto& existing : into.gauges) {
-      if (existing.name == gauge.name && existing.labels == gauge.labels) {
-        existing.value = gauge.value;  // newer observation wins
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) into.gauges.push_back(gauge);
-  }
-  for (const auto& histogram : from.histograms) {
-    bool merged = false;
-    for (auto& existing : into.histograms) {
-      if (existing.name == histogram.name &&
-          existing.labels == histogram.labels) {
-        existing.data.merge(histogram.data);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) into.histograms.push_back(histogram);
-  }
-}
-
 InProcessReplica::InProcessReplica(
     std::shared_ptr<const core::GraphNerModel> model,
     serve::ServiceConfig config)
@@ -108,9 +70,9 @@ void InProcessReplica::retire_service() {
 void InProcessReplica::drain(std::shared_ptr<serve::TaggingService> old) {
   if (!old) return;
   old->stop();  // graceful: drains queued work, every future resolves
-  const obs::RegistrySnapshot terminal = old->metrics().raw;
+  const obs::RegistrySnapshot terminal = old->metrics();
   std::lock_guard<std::mutex> lock(mutex_);
-  merge_snapshot(retired_, terminal);
+  retired_.merge(terminal);
 }
 
 void InProcessReplica::kill() { retire_service(); }
@@ -166,7 +128,7 @@ obs::RegistrySnapshot InProcessReplica::metrics_snapshot() const {
     out = retired_;
     service = service_;
   }
-  if (service) merge_snapshot(out, service->metrics().raw);
+  if (service) out.merge(service->metrics());
   return out;
 }
 

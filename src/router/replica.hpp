@@ -118,14 +118,8 @@ class InProcessReplica : public ReplicaHandle {
   mutable std::shared_ptr<const text::LabelSet> labels_;
   bool healthy_ = false;
   bool stopped_ = false;
-  /// Counters of every retired service, merged by name.
+  /// Metrics of every retired service, folded by RegistrySnapshot::merge.
   obs::RegistrySnapshot retired_;
 };
-
-/// Merge `from` into `into`: counters add by (name, labels), gauges take
-/// the newer value, histograms merge bucket-wise. The fold that keeps
-/// replica metrics monotone across service retirements.
-void merge_snapshot(obs::RegistrySnapshot& into,
-                    const obs::RegistrySnapshot& from);
 
 }  // namespace graphner::router

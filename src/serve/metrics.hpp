@@ -1,80 +1,25 @@
-// Serving metrics, redesigned onto the obs metric registry.
+// Serving metrics: the instruments a TaggingService records into.
 //
 // ServiceMetrics owns a *private* obs::Registry (not Registry::global():
 // every TaggingService — and every unit test — gets isolated counts) and
 // resolves its instruments once at construction: sharded counters for the
 // admission/outcome tallies, a gauge for queue depth, and histograms for
-// queue-wait/decode latency (log10(1+us) bins, quantiles inverted back to
-// microseconds at report time) and batch size. The per-worker slot +
-// mutex plumbing the old implementation carried is gone — the registry's
-// sharding gives the same uncontended-write discipline for free, and the
-// worker id disappears from the observer API.
+// queue-wait/decode latency (obs::latency_us_spec(): log10(1+us) bins) and
+// batch size. The registry's sharding keeps every record an uncontended
+// write, so the observer API carries no worker id.
 //
-// MetricsSnapshot keeps its pre-registry shape (typed counter fields,
-// LatencyHistogram accessors, mean_batch_size()) so service callers and
-// tests are untouched; it is now materialized as a typed view over the
-// registry snapshot it carries.
+// The read side is the registry's own obs::RegistrySnapshot: counters by
+// counter_value("completed"), distributions by histogram("decode_us"),
+// whose quantiles come back in microseconds. The #METRICS scrape exports
+// the same snapshot with a "serve." prefix.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 
 #include "src/obs/registry.hpp"
 #include "src/serve/types.hpp"
-#include "src/util/histogram.hpp"
 
 namespace graphner::serve {
-
-/// util::Histogram over log10(1 + us) with report-time inversion.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-  /// Typed view over an obs histogram snapshot recorded with
-  /// obs::latency_us_spec() (bin-domain buckets + raw-microsecond sum).
-  explicit LatencyHistogram(const obs::Histogram::Snapshot& snapshot);
-
-  void record_us(double us) noexcept;
-  void merge(const LatencyHistogram& other) {
-    histogram_.merge(other.histogram_);
-    sum_us_ += other.sum_us_;
-  }
-
-  [[nodiscard]] std::size_t total() const noexcept { return histogram_.total(); }
-  [[nodiscard]] double mean_us() const noexcept;
-  [[nodiscard]] double max_us() const noexcept;
-  /// Quantile in microseconds (inverse of the log transform).
-  [[nodiscard]] double quantile_us(double q) const noexcept;
-
- private:
-  util::Histogram histogram_;
-  double sum_us_ = 0.0;  ///< arithmetic mean support (mean of logs is not it)
-};
-
-/// Point-in-time typed view over the service registry. Copyable, detached
-/// from the live service.
-struct MetricsSnapshot {
-  std::uint64_t submitted = 0;          ///< admission attempts
-  std::uint64_t rejected_overload = 0;  ///< queue-full rejections
-  std::uint64_t rejected_shutdown = 0;  ///< submitted after stop()
-  std::uint64_t rejected_unknown_model = 0;  ///< bad SubmitOptions::model
-  std::uint64_t completed = 0;          ///< responses produced by workers
-  std::uint64_t errors = 0;             ///< decode exceptions
-  std::uint64_t batches = 0;            ///< micro-batches decoded
-  std::uint64_t coalesced = 0;          ///< duplicates served by a shared decode
-  std::uint64_t deadline_expired = 0;   ///< shed before decode (deadline passed)
-  std::uint64_t degraded = 0;           ///< answered by the degraded decode path
-
-  LatencyHistogram queue_wait;  ///< enqueue -> batch dequeue
-  LatencyHistogram decode;      ///< feature extraction + Viterbi
-  util::Histogram batch_size{0.0, 256.0, 256};
-
-  /// The registry snapshot this view was materialized from.
-  obs::RegistrySnapshot raw;
-
-  [[nodiscard]] double mean_batch_size() const noexcept {
-    return batch_size.mean();
-  }
-};
 
 class ServiceMetrics {
  public:
@@ -96,7 +41,6 @@ class ServiceMetrics {
     queue_depth_.set(static_cast<double>(depth));
   }
 
-  [[nodiscard]] MetricsSnapshot snapshot() const;
   [[nodiscard]] const obs::Registry& registry() const noexcept {
     return registry_;
   }

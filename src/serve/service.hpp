@@ -104,7 +104,10 @@ class TaggingService : public TagService {
   /// join the workers. Idempotent; also run by the destructor.
   void stop();
 
-  [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
+  /// This service's own registry (bare names: "submitted", "decode_us").
+  [[nodiscard]] obs::RegistrySnapshot metrics() const {
+    return metrics_.registry().snapshot();
+  }
   /// Everything a scrape should see, merged into one snapshot: this
   /// service's registry (names prefixed "serve."), the process-global
   /// registry (training/propagation/checkpoint instruments), and the

@@ -1,5 +1,5 @@
-// Fixed-bin histogram + ASCII rendering, used for the Fig. 3 influence plots
-// and the serving-runtime latency metrics (src/serve/metrics.hpp).
+// Fixed-bin histogram + ASCII rendering: the bucket store inside
+// obs::Histogram (src/obs/registry.hpp) and the Fig. 3 influence plots.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +18,8 @@ class Histogram {
 
   /// Fold another histogram with the identical [lo, hi) x bins layout into
   /// this one. Throws std::invalid_argument on a layout mismatch. This is
-  /// how per-worker serving histograms are combined at report time: each
-  /// worker owns its histogram exclusively, so merging copies needs no
-  /// locking inside the histogram itself.
+  /// how obs::Histogram combines its per-thread shards and how snapshots
+  /// merge; the histogram itself does no locking.
   void merge(const Histogram& other);
 
   /// q-quantile (q clamped to [0, 1]) with linear interpolation inside the

@@ -1,10 +1,13 @@
 // Shared-memory parallel loop helpers.
 //
 // Hot kernels (k-NN graph construction, CRF gradient accumulation, graph
-// propagation sweeps) are expressed through parallel_for so they scale with
-// cores when OpenMP is available and degrade to a serial loop otherwise.
-// Thread count is controlled at runtime via set_num_threads / the
-// GRAPHNER_THREADS environment variable so benchmarks stay reproducible.
+// propagation sweeps) are expressed through parallel_for / parallel_reduce.
+// Each call splits its range into num_threads() contiguous chunks and runs
+// them on that many std::threads, spawned and joined per call; a range
+// shorter than two items per worker runs serially on the caller. The worker
+// count defaults to GRAPHNER_THREADS, else hardware_concurrency(), and
+// set_num_threads overrides it. parallel_reduce's chunking follows the
+// worker count, so floating-point sums can differ between worker counts.
 #pragma once
 
 #include <cstddef>

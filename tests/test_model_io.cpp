@@ -128,6 +128,17 @@ TEST_F(ModelIoMalformed, RejectsLabelsBlockCorruption) {
   expect_load_error(saved_->substr(0, block + 13), "labels table truncated");
 }
 
+TEST_F(ModelIoMalformed, RejectsLabelCountAboveMaxSizeAsTruncated) {
+  // 3e17 labels is above vector<string>::max_size(): a loader that sized
+  // its table from the count would die with std::length_error before it
+  // saw that the file holds three names.
+  const std::size_t block = saved_->find("labels 3\n");
+  ASSERT_NE(block, std::string::npos);
+  std::string inflated = *saved_;
+  inflated.replace(block, 9, "labels 300000000000000000\n");
+  expect_load_error(inflated, "labels table truncated");
+}
+
 TEST_F(ModelIoMalformed, RejectsTrailingGarbage) {
   expect_load_error(*saved_ + "leftover bytes\n", "trailing garbage");
   // A second concatenated model is also trailing garbage.
@@ -398,6 +409,14 @@ TEST_F(ModelIoMmap, RejectsRaggedWeightsSection) {
 TEST_F(ModelIoMmap, RejectsLabelsSectionTruncatedTable) {
   // Promise more labels than the payload holds.
   expect_mmap_error(with_labels_payload(*bytes_, "9\nB\nI\nO\n"),
+                    "labels section truncated");
+}
+
+TEST_F(ModelIoMmap, RejectsLabelsSectionCountAboveMaxSize) {
+  // The fingerprint is not a MAC, so a crafted count gets past it. The
+  // 8-byte payload has no room for a long decimal; "-1" reads as 2^64 - 1,
+  // far above vector<string>::max_size().
+  expect_mmap_error(with_labels_payload(*bytes_, "-1\nB\nI\nO"),
                     "labels section truncated");
 }
 

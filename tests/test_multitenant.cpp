@@ -201,7 +201,7 @@ TEST_F(TenantTier, SingleServiceAcceptsItsOwnNameAndRejectsOthers) {
   auto unknown = service.submit(sentences_->front(), for_model("nope")).get();
   EXPECT_EQ(unknown.status, serve::Status::kUnknownModel);
   EXPECT_NE(unknown.error.find("nope"), std::string::npos);
-  EXPECT_EQ(service.metrics().rejected_unknown_model, 1U);
+  EXPECT_EQ(service.metrics().counter_value("rejected_unknown_model"), 1U);
   service.stop();
 }
 

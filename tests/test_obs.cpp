@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs): sharded counters, gauges,
 // log-domain histograms, the named-instrument registry, trace spans with
-// nesting + capture, the three exporters and the token bucket. The
+// nesting + capture, snapshot append/merge, the three exporters (with a
+// golden scrape of the serving metrics) and the token bucket. The
 // concurrent cases double as the TSAN targets for snapshot-vs-writer and
 // quota-toggle-vs-acquire races (CI runs every Obs* test under
 // ThreadSanitizer).
@@ -8,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/obs/registry.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/token_bucket.hpp"
+#include "src/serve/metrics.hpp"
 #include "src/util/logging.hpp"
 
 namespace graphner {
@@ -152,6 +155,47 @@ TEST(ObsSnapshotTest, AppendPrefixesEverySample) {
   EXPECT_EQ(merged.gauges[0].name, "serve.queue_depth");
   ASSERT_EQ(merged.histograms.size(), 1u);
   EXPECT_EQ(merged.histograms[0].name, "serve.queue_wait_us");
+}
+
+TEST(ObsSnapshotTest, MergeFoldsByNameAndLabels) {
+  const obs::HistogramSpec spec{0.0, 10.0, 10, obs::Scale::kLinear};
+  obs::Registry older;
+  older.counter("completed").inc(3);
+  older.counter("completed", {{"tenant", "a"}}).inc(1);
+  older.gauge("queue_depth").set(5.0);
+  older.histogram("batch_size", spec).record(2.0);
+  obs::Registry newer;
+  newer.counter("completed").inc(4);
+  newer.counter("completed", {{"tenant", "b"}}).inc(2);  // label-distinct
+  newer.gauge("queue_depth").set(1.0);
+  newer.histogram("batch_size", spec).record(6.0);
+  newer.counter("errors").inc(1);  // new name
+
+  obs::RegistrySnapshot merged = older.snapshot();
+  merged.merge(newer.snapshot());
+  ASSERT_EQ(merged.counters.size(), 4u);
+  EXPECT_EQ(merged.counters[0].name, "completed");
+  EXPECT_TRUE(merged.counters[0].labels.empty());
+  EXPECT_EQ(merged.counters[0].value, 7u);
+  EXPECT_EQ(merged.counters[1].labels, (obs::Labels{{"tenant", "a"}}));
+  EXPECT_EQ(merged.counters[1].value, 1u);
+  EXPECT_EQ(merged.counters[2].labels, (obs::Labels{{"tenant", "b"}}));
+  EXPECT_EQ(merged.counters[2].value, 2u);
+  EXPECT_EQ(merged.counters[3].name, "errors");
+  EXPECT_EQ(merged.counters[3].value, 1u);
+  ASSERT_EQ(merged.gauges.size(), 1u);
+  EXPECT_EQ(merged.gauges[0].value, 1.0);  // newer wins
+  ASSERT_EQ(merged.histograms.size(), 1u);
+  const obs::Histogram::Snapshot batch = merged.histogram("batch_size");
+  EXPECT_EQ(batch.count(), 2u);
+  EXPECT_EQ(batch.buckets.count(2), 1u);
+  EXPECT_EQ(batch.buckets.count(6), 1u);
+  EXPECT_DOUBLE_EQ(batch.sum, 8.0);
+  EXPECT_EQ(merged.histogram("absent").count(), 0u);
+
+  obs::Registry other_layout;
+  (void)other_layout.histogram("batch_size", obs::latency_us_spec());
+  EXPECT_THROW(merged.merge(other_layout.snapshot()), std::invalid_argument);
 }
 
 TEST(ObsSpanTest, NestingAndAttributesAreRecorded) {
@@ -302,6 +346,113 @@ TEST(ObsExportTest, TsvFlattensHistogramsAndIsGreppable) {
   EXPECT_NE(tsv.find("wait_us.p50\t"), std::string::npos);
   EXPECT_NE(tsv.find("wait_us.max\t"), std::string::npos);
   EXPECT_TRUE(tsv.empty() || tsv.back() != '\n');
+}
+
+// Golden scrape text: a fixed sequence recorded into the serving metrics,
+// exported in all three #METRICS flavours. The literals pin the scrape
+// bytes (instrument names and order, histogram summaries, number format),
+// so a change on the read side that alters a single byte fails here.
+TEST(ObsExportTest, ServiceMetricsScrapeIsGolden) {
+  serve::ServiceMetrics metrics;
+  for (int i = 0; i < 7; ++i) metrics.on_submitted();
+  metrics.on_rejected(serve::Status::kOverloaded);
+  metrics.on_rejected(serve::Status::kShutdown);
+  metrics.on_rejected(serve::Status::kUnknownModel);
+  metrics.on_batch(3);
+  metrics.on_completed(12.0, 340.0, false);
+  metrics.on_completed(30.5, 1250.0, false, /*coalesced=*/true);
+  metrics.on_completed(4.0, 95.0, /*error=*/true, false, /*degraded=*/true);
+  metrics.on_batch(1);
+  metrics.on_completed(0.0, 5000.0, false);
+  metrics.on_expired(2500.0);
+  metrics.set_queue_depth(2);
+  obs::RegistrySnapshot scrape;
+  scrape.append(metrics.registry().snapshot(), "serve.");
+
+  EXPECT_EQ(obs::export_tsv(scrape),
+            "serve.submitted\t7\n"
+            "serve.rejected_overload\t1\n"
+            "serve.rejected_shutdown\t1\n"
+            "serve.rejected_unknown_model\t1\n"
+            "serve.completed\t4\n"
+            "serve.errors\t1\n"
+            "serve.batches\t2\n"
+            "serve.coalesced\t1\n"
+            "serve.deadline_expired\t1\n"
+            "serve.degraded\t1\n"
+            "serve.queue_depth\t2\n"
+            "serve.queue_wait_us.count\t5\n"
+            "serve.queue_wait_us.mean\t509.3\n"
+            "serve.queue_wait_us.p50\t11.86396945\n"
+            "serve.queue_wait_us.p95\t2501.865431\n"
+            "serve.queue_wait_us.p99\t2538.144986\n"
+            "serve.queue_wait_us.max\t2500\n"
+            "serve.decode_us.count\t4\n"
+            "serve.decode_us.mean\t1671.25\n"
+            "serve.decode_us.p50\t364.1741273\n"
+            "serve.decode_us.p95\t5157.221651\n"
+            "serve.decode_us.p99\t5216.951042\n"
+            "serve.decode_us.max\t5000\n"
+            "serve.batch_size.count\t2\n"
+            "serve.batch_size.mean\t2\n"
+            "serve.batch_size.p50\t2\n"
+            "serve.batch_size.p95\t3.9\n"
+            "serve.batch_size.p99\t3.98\n"
+            "serve.batch_size.max\t3");
+  EXPECT_EQ(
+      obs::export_json(scrape),
+      "{\"counters\":{\"serve.submitted\":7,\"serve.rejected_overload\":1,"
+      "\"serve.rejected_shutdown\":1,\"serve.rejected_unknown_model\":1,"
+      "\"serve.completed\":4,\"serve.errors\":1,\"serve.batches\":2,"
+      "\"serve.coalesced\":1,\"serve.deadline_expired\":1,"
+      "\"serve.degraded\":1},\"gauges\":{\"serve.queue_depth\":2},"
+      "\"histograms\":{\"serve.queue_wait_us\":{\"count\":5,\"mean\":509.3,"
+      "\"p50\":11.86396945,\"p95\":2501.865431,\"p99\":2538.144986,"
+      "\"max\":2500},\"serve.decode_us\":{\"count\":4,\"mean\":1671.25,"
+      "\"p50\":364.1741273,\"p95\":5157.221651,\"p99\":5216.951042,"
+      "\"max\":5000},\"serve.batch_size\":{\"count\":2,\"mean\":2,\"p50\":2,"
+      "\"p95\":3.9,\"p99\":3.98,\"max\":3}}}");
+  EXPECT_EQ(obs::export_prometheus(scrape),
+            "# TYPE graphner_serve_submitted counter\n"
+            "graphner_serve_submitted 7\n"
+            "# TYPE graphner_serve_rejected_overload counter\n"
+            "graphner_serve_rejected_overload 1\n"
+            "# TYPE graphner_serve_rejected_shutdown counter\n"
+            "graphner_serve_rejected_shutdown 1\n"
+            "# TYPE graphner_serve_rejected_unknown_model counter\n"
+            "graphner_serve_rejected_unknown_model 1\n"
+            "# TYPE graphner_serve_completed counter\n"
+            "graphner_serve_completed 4\n"
+            "# TYPE graphner_serve_errors counter\n"
+            "graphner_serve_errors 1\n"
+            "# TYPE graphner_serve_batches counter\n"
+            "graphner_serve_batches 2\n"
+            "# TYPE graphner_serve_coalesced counter\n"
+            "graphner_serve_coalesced 1\n"
+            "# TYPE graphner_serve_deadline_expired counter\n"
+            "graphner_serve_deadline_expired 1\n"
+            "# TYPE graphner_serve_degraded counter\n"
+            "graphner_serve_degraded 1\n"
+            "# TYPE graphner_serve_queue_depth gauge\n"
+            "graphner_serve_queue_depth 2\n"
+            "# TYPE graphner_serve_queue_wait_us summary\n"
+            "graphner_serve_queue_wait_us{quantile=\"0.5\"} 11.86396945\n"
+            "graphner_serve_queue_wait_us{quantile=\"0.95\"} 2501.865431\n"
+            "graphner_serve_queue_wait_us{quantile=\"0.99\"} 2538.144986\n"
+            "graphner_serve_queue_wait_us_sum 2546.5\n"
+            "graphner_serve_queue_wait_us_count 5\n"
+            "# TYPE graphner_serve_decode_us summary\n"
+            "graphner_serve_decode_us{quantile=\"0.5\"} 364.1741273\n"
+            "graphner_serve_decode_us{quantile=\"0.95\"} 5157.221651\n"
+            "graphner_serve_decode_us{quantile=\"0.99\"} 5216.951042\n"
+            "graphner_serve_decode_us_sum 6685\n"
+            "graphner_serve_decode_us_count 4\n"
+            "# TYPE graphner_serve_batch_size summary\n"
+            "graphner_serve_batch_size{quantile=\"0.5\"} 2\n"
+            "graphner_serve_batch_size{quantile=\"0.95\"} 3.9\n"
+            "graphner_serve_batch_size{quantile=\"0.99\"} 3.98\n"
+            "graphner_serve_batch_size_sum 4\n"
+            "graphner_serve_batch_size_count 2\n");
 }
 
 TEST(ObsExportTest, SpansExportAsJsonArray) {

@@ -89,15 +89,15 @@ TEST_F(ServeTest, EightClientThreadsMatchSequentialDecode) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(results[i], (*expected_)[i]) << i;
 
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, n);
-  EXPECT_EQ(snapshot.completed, n);
-  EXPECT_EQ(snapshot.errors, 0U);
-  EXPECT_EQ(snapshot.rejected_overload, 0U);
-  EXPECT_EQ(snapshot.queue_wait.total(), n);
-  EXPECT_EQ(snapshot.decode.total(), n);
-  EXPECT_GE(snapshot.batches, 1U);
-  EXPECT_EQ(static_cast<std::uint64_t>(snapshot.batch_size.total()),
-            snapshot.batches);
+  EXPECT_EQ(snapshot.counter_value("submitted"), n);
+  EXPECT_EQ(snapshot.counter_value("completed"), n);
+  EXPECT_EQ(snapshot.counter_value("errors"), 0U);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), 0U);
+  EXPECT_EQ(snapshot.histogram("queue_wait_us").count(), n);
+  EXPECT_EQ(snapshot.histogram("decode_us").count(), n);
+  EXPECT_GE(snapshot.counter_value("batches"), 1U);
+  EXPECT_EQ(snapshot.histogram("batch_size").count(),
+            snapshot.counter_value("batches"));
 }
 
 /// Scopes chaos to one test: the FaultInjector is a process-wide singleton,
@@ -130,7 +130,7 @@ TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
   }
   const auto snapshot = service.metrics();
   // A burst of 64 against one worker cannot have been 64 singleton batches.
-  EXPECT_LT(snapshot.batches, kBurst);
+  EXPECT_LT(snapshot.counter_value("batches"), kBurst);
   EXPECT_GT(max_batch_seen, 1U);
   EXPECT_LE(max_batch_seen, config.batching.max_batch);
 }
@@ -161,10 +161,10 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   }
   const auto snapshot = service.metrics();
   EXPECT_GT(coalesced, 0U);
-  EXPECT_EQ(snapshot.coalesced, coalesced);
-  EXPECT_EQ(snapshot.completed, kBurst);
+  EXPECT_EQ(snapshot.counter_value("coalesced"), coalesced);
+  EXPECT_EQ(snapshot.counter_value("completed"), kBurst);
   // Per-request metrics are still recorded for coalesced responses.
-  EXPECT_EQ(snapshot.decode.total(), kBurst);
+  EXPECT_EQ(snapshot.histogram("decode_us").count(), kBurst);
 
   // With coalescing off, no request reports a shared decode.
   ServiceConfig plain = config;
@@ -174,7 +174,7 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   for (std::size_t i = 0; i < 8; ++i)
     plain_futures.push_back(plain_service.submit(sentence));
   for (auto& future : plain_futures) EXPECT_FALSE(future.get().coalesced);
-  EXPECT_EQ(plain_service.metrics().coalesced, 0U);
+  EXPECT_EQ(plain_service.metrics().counter_value("coalesced"), 0U);
 }
 
 TEST_F(ServeTest, BoundedQueueRejectsWithStructuredOverload) {
@@ -205,7 +205,7 @@ TEST_F(ServeTest, BoundedQueueRejectsWithStructuredOverload) {
   // resolved (nothing blocked forever waiting for room).
   EXPECT_GT(overloaded, 0U);
   EXPECT_EQ(ok + overloaded, kFlood);
-  EXPECT_EQ(service.metrics().rejected_overload, overloaded);
+  EXPECT_EQ(service.metrics().counter_value("rejected_overload"), overloaded);
 }
 
 TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
@@ -223,7 +223,7 @@ TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
 
   const auto rejected = service.submit((*sentences_)[0]).get();
   EXPECT_EQ(rejected.status, Status::kShutdown);
-  EXPECT_EQ(service.metrics().rejected_shutdown, 1U);
+  EXPECT_EQ(service.metrics().counter_value("rejected_shutdown"), 1U);
 }
 
 TEST_F(ServeTest, ReadmeInProcessSnippetCompilesAndRuns) {
@@ -329,9 +329,10 @@ TEST_F(ServeTest, DeadlinedRequestsAreShedBeforeDecode) {
     EXPECT_FALSE(response.degraded);
   }
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.deadline_expired, kN);
-  EXPECT_EQ(snapshot.completed, 0U);  // nothing wasted worker time on decode
-  EXPECT_EQ(snapshot.submitted, kN);
+  EXPECT_EQ(snapshot.counter_value("deadline_expired"), kN);
+  // Nothing wasted worker time on decode.
+  EXPECT_EQ(snapshot.counter_value("completed"), 0U);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kN);
 }
 
 TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
@@ -374,7 +375,7 @@ TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
   // the last batch sees an empty queue and recovers before decoding.
   EXPECT_GT(degraded_count, 0U);
   EXPECT_LT(degraded_count, kFlood);
-  EXPECT_EQ(service.metrics().degraded, degraded_count);
+  EXPECT_EQ(service.metrics().counter_value("degraded"), degraded_count);
   EXPECT_FALSE(service.degraded());
 
   // Post-flood traffic is full quality again.
@@ -425,10 +426,10 @@ TEST_F(ServeTest, PushRacingShutdownResolvesEveryFuture) {
   }
   EXPECT_EQ(ok + shutdown + overloaded, kProducers * kPerProducer);
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kProducers * kPerProducer);
-  EXPECT_EQ(snapshot.completed, ok);
-  EXPECT_EQ(snapshot.rejected_shutdown, shutdown);
-  EXPECT_EQ(snapshot.rejected_overload, overloaded);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kProducers * kPerProducer);
+  EXPECT_EQ(snapshot.counter_value("completed"), ok);
+  EXPECT_EQ(snapshot.counter_value("rejected_shutdown"), shutdown);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), overloaded);
 }
 
 TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
@@ -466,10 +467,10 @@ TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
   EXPECT_GT(overloaded, 0U);
   EXPECT_GT(expired, 0U);
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kFlood);
-  EXPECT_EQ(snapshot.completed, ok);
-  EXPECT_EQ(snapshot.rejected_overload, overloaded);
-  EXPECT_EQ(snapshot.deadline_expired, expired);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kFlood);
+  EXPECT_EQ(snapshot.counter_value("completed"), ok);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), overloaded);
+  EXPECT_EQ(snapshot.counter_value("deadline_expired"), expired);
 }
 
 TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
@@ -489,9 +490,11 @@ TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
   }
   service.stop();
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kN);
-  EXPECT_EQ(snapshot.completed + snapshot.rejected_overload +
-                snapshot.rejected_shutdown + snapshot.deadline_expired,
+  EXPECT_EQ(snapshot.counter_value("submitted"), kN);
+  EXPECT_EQ(snapshot.counter_value("completed") +
+                snapshot.counter_value("rejected_overload") +
+                snapshot.counter_value("rejected_shutdown") +
+                snapshot.counter_value("deadline_expired"),
             kN);
 }
 
@@ -631,7 +634,8 @@ TEST_F(ServeTest, RequestWithRetryRecoversFromDeadlineExceeded) {
   ASSERT_TRUE(connection.request_with_retry("r1\tthe BRCA1 gene", response,
                                             policy));
   EXPECT_EQ(response_status(response), "OK") << response;
-  EXPECT_GE(service.metrics().deadline_expired, 1U);  // attempt 1 was shed
+  // Attempt 1 was shed.
+  EXPECT_GE(service.metrics().counter_value("deadline_expired"), 1U);
   server.stop();
   service.stop();
 }
